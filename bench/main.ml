@@ -50,9 +50,8 @@ let baseline_main_ns =
     ("tpch/scan-sum-sf0.1", 62.61e3);
     (* Dense-engine rewrite numbers measured immediately before the
        symbolic coefficient algebra landed: every Rewrite.analyze call
-       materialized the full 2^n b-vector.  The rewrite-n6/n10 rows now
-       pin `Dense so they keep reading against these; the symbolic
-       default path is the separate sbox/rewrite-sym-n10 row. *)
+       materialized the full 2^n b-vector.  The rewrite-n6/n10 rows run
+       the symbolic engine against these. *)
     ("sbox/rewrite-n6", 129.669e3);
     ("sbox/rewrite-n10", 515.02e3);
     (* Prepared-execution number measured immediately before the serving
@@ -118,17 +117,28 @@ let micro_specs ~quota () =
   in
   let pairs2_10k = pairs 2 10_000 in
   let pairs4_10k = pairs 4 10_000 in
-  (* 10-relation lineage where only 3 relations actually sample: the
-     static analyzer proves the other 7 contribute zero Theorem-1
-     coefficients, so the skip-mask run does 7 of the 1023 subset passes. *)
+  (* 10-relation lineage: the dense kernel's 1023 subset passes. *)
   let pairs10_10k = pairs 10 10_000 in
   (* 20-relation lineage, 3 sampled: past the dense wall (the moments
      kernel would need 2^20 passes and the rewrite a 2^20 b-vector).  The
-     symbolic row analyzes the factorized design, projects to the 3 live
-     relations, and runs 2^3 viewed passes over the native 20-column
-     lineages — estimate, y-hat and variance included. *)
-  let pairs20_10k = pairs 20 10_000 in
+     symbolic row projects the factorized design onto its 3 live
+     relations and estimates through the SBox's one route: 2^3 passes
+     over the native 20-column lineages — estimate, y-hat and variance
+     included. *)
   let wide_rels = Array.init 20 (Printf.sprintf "w%02d") in
+  let wide_sample =
+    let open Gus_relational in
+    let rel =
+      Relation.derived
+        (Schema.make [ { Schema.name = "f"; ty = Value.TFloat } ])
+        wide_rels
+    in
+    Array.iter
+      (fun (l, f) ->
+        Relation.append_tuple rel (Tuple.make [| Value.Float f |] l))
+      (pairs 20 10_000);
+    rel
+  in
   let wide_sampled = [ 4; 9; 14 ] in
   let wide_sym () =
     let leaf i =
@@ -144,13 +154,6 @@ let micro_specs ~quota () =
     done;
     !s
   in
-  let gus_n10 =
-    Gus.join
-      (Gus.join (Gus.bernoulli ~rel:"r0" 0.1)
-         (Gus.join (Gus.bernoulli ~rel:"r1" 0.2) (Gus.bernoulli ~rel:"r2" 0.5)))
-      (Gus.identity (Array.init 7 (Printf.sprintf "d%d")))
-  in
-  let skip10 = Gus_analysis.Cost.skip_mask gus_n10 in
   let pool = Lazy.force micro_pool in
   let db = Exp.Harness.db_cached ~scale:0.3 in
   let q1 = Exp.Harness.query1_plan () in
@@ -264,16 +267,8 @@ let micro_specs ~quota () =
     { name = "sbox/rewrite-n6";
       quota_floor = fit_quota_floor;
       warmup = fit_warmup;
-      body = (fun () -> ignore (Rewrite.analyze ~coeff_engine:`Dense ~card plan6)) };
+      body = (fun () -> ignore (Rewrite.analyze ~card plan6)) };
     { name = "sbox/rewrite-n10";
-      quota_floor = fit_quota_floor;
-      warmup = fit_warmup;
-      body = (fun () -> ignore (Rewrite.analyze ~coeff_engine:`Dense ~card plan10)) };
-    (* Same plan, default symbolic engine: the rewrite keeps the design
-       factorized and never materializes the 2^10 b-vector.  CI's
-       within-run gate asserts this row is >=50x faster than the `Dense
-       row above. *)
-    { name = "sbox/rewrite-sym-n10";
       quota_floor = fit_quota_floor;
       warmup = fit_warmup;
       body = (fun () -> ignore (Rewrite.analyze ~card plan10)) };
@@ -289,15 +284,6 @@ let micro_specs ~quota () =
       quota_floor = fit_quota_floor;
       warmup = 1;
       body = (fun () -> ignore (Moments.of_pairs ~n_rels:4 pairs4_10k)) };
-    (* The retained seed implementation: the "before" of the kernel. *)
-    { name = "sbox/moments-2rel-10k-naive";
-      quota_floor = heavy_quota_floor;
-      warmup = 1;
-      body = (fun () -> ignore (Moments.of_pairs_naive ~n_rels:2 pairs2_10k)) };
-    { name = "sbox/moments-4rel-10k-naive";
-      quota_floor = heavy_quota_floor;
-      warmup = 1;
-      body = (fun () -> ignore (Moments.of_pairs_naive ~n_rels:4 pairs4_10k)) };
     (* Multicore fan-out of the subset passes (threshold forced off so the
        pool is exercised even at 10k tuples). *)
     { name = "sbox/moments-4rel-10k-par";
@@ -314,8 +300,8 @@ let micro_specs ~quota () =
           ignore
             (Moments.bilinear_of_pairs ~n_rels:4
                (Array.map (fun (l, f) -> (l, f, f)) pairs4_10k))) };
-    (* Static skip-mask win: same input, same kernel; the masked run only
-       visits the 2^3 − 1 live subset passes out of 2^10 − 1. *)
+    (* Every one of the 2^10 − 1 subset passes: what a 10-relation
+       lineage would cost without the live projection. *)
     { name = "sbox/moments-dense-n10";
       quota_floor = heavy_quota_floor;
       warmup = 1;
@@ -331,25 +317,9 @@ let micro_specs ~quota () =
       warmup = 1;
       body =
         (fun () ->
-          let sym = wide_sym () in
-          let live = Symalg.live_mask sym in
-          let view = Array.of_list (Subset.elements live) in
-          let gus = Symalg.to_gus (Symalg.project sym live) in
-          let y =
-            Moments.of_pairs ~view ~lineage_width:20
-              ~n_rels:(Subset.cardinal live) pairs20_10k
-          in
-          let y_hat = Sbox.y_hat_of_moments ~gus y in
-          let total_f = Moments.total pairs20_10k in
-          let estimate = Gus.scale_up gus total_f in
-          let variance = Gus.variance gus ~y:y_hat in
-          ignore (estimate +. variance)) };
-    { name = "sbox/moments-skipmask-n10";
-      quota_floor = heavy_quota_floor;
-      warmup = 1;
-      body =
-        (fun () ->
-          ignore (Moments.of_pairs ~skip_mask:skip10 ~n_rels:10 pairs10_10k)) };
+          let gus = Gus_analysis.Lint.live_design (wide_sym ()) in
+          let f = Gus_relational.Expr.col "f" in
+          ignore (Sbox.of_relation ~gus ~f wide_sample)) };
     { name = "sbox/sbox-query1-e2e";
       quota_floor = heavy_quota_floor;
       warmup = 1;

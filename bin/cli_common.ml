@@ -117,7 +117,7 @@ let human_message code message =
 let or_fail ?(json = false) f =
   try f ()
   with e -> (
-    match Gus_service.Protocol.error_of_exn e with
+    match Gus_service.Wire.error_of_exn e with
     | None -> raise e
     | Some (code, message) ->
         if json then

@@ -141,9 +141,10 @@ let query_cmd =
            (Json.obj
               [ ("ok", Some (Json.Bool true));
                 ( "result",
-                  Some (Gus_service.Protocol.result_json rs.Gus_sql.Runner.rs_result)
+                  Some
+                    (Gus_service.Wire.result_json rs.Gus_sql.Runner.rs_result)
                 );
-                ("exact", Gus_service.Protocol.exact_json rs) ]))
+                ("exact", Gus_service.Wire.exact_json rs) ]))
     else begin
       (match rs.Gus_sql.Runner.rs_explain with
       | Some ex -> Format.printf "%a@." Gus_sql.Runner.pp_explain ex
@@ -242,14 +243,6 @@ let lint_cmd =
                paper citation, then exit." in
     Arg.(value & flag & info [ "codes" ] ~doc)
   in
-  let dense_coeffs_arg =
-    let doc = "Run the legacy dense coefficient engine (materialize all \
-               2^n second-order probabilities) instead of the symbolic \
-               sum-of-products algebra.  Output is byte-identical where \
-               both engines apply; this flag exists as the comparison \
-               baseline and fails on plans past the dense width limit." in
-    Arg.(value & flag & info [ "dense-coeffs" ] ~doc)
-  in
   let print_codes () =
     List.iter
       (fun code ->
@@ -258,8 +251,7 @@ let lint_cmd =
           (D.title code) (D.citation code))
       D.all_codes
   in
-  let run scale sql json small_a variance_bound cost_budget codes fix
-      dense_coeffs data =
+  let run scale sql json small_a variance_bound cost_budget codes fix data =
     if codes then print_codes ()
     else
       match sql with
@@ -270,8 +262,9 @@ let lint_cmd =
           C.or_fail ~json @@ fun () ->
           let db = C.db_source ~scale data in
           let config = { Lint.small_a; variance_bound; cost_budget } in
-          let engine = if dense_coeffs then `Dense else `Symbolic in
-          let plan, report = Gus_sql.Runner.lint ~config ~engine db sql in
+          let { Gus_sql.Runner.pr_plan = plan; pr_lint = report; _ } =
+            Gus_sql.Runner.prepare ~lint_config:config db sql
+          in
           if json then print_endline (Lint.to_json report)
           else begin
             Format.printf "sampling plan:@.%a@." Lint.pp_annotated_plan
@@ -306,7 +299,7 @@ let lint_cmd =
              once.")
     Term.(const run $ C.scale_arg $ sql_opt_arg $ C.json_arg $ small_a_arg
           $ variance_bound_arg $ cost_budget_arg $ codes_arg $ fix_arg
-          $ dense_coeffs_arg $ C.data_arg)
+          $ C.data_arg)
 
 (* ---- lint-workload ---- *)
 
@@ -316,21 +309,14 @@ let lint_workload_cmd =
                recursively)." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc)
   in
-  let dense_coeffs_arg =
-    let doc = "Run the legacy dense coefficient engine instead of the \
-               symbolic sum-of-products algebra (byte-identical output; \
-               comparison baseline)." in
-    Arg.(value & flag & info [ "dense-coeffs" ] ~doc)
-  in
-  let run scale dir dense_coeffs data =
+  let run scale dir data =
     if not (Sys.file_exists dir && Sys.is_directory dir) then begin
       Printf.eprintf "gusdb lint-workload: no such directory %s\n" dir;
       exit 124
     end;
     C.or_fail ~json:true @@ fun () ->
     let db = C.db_source ~scale data in
-    let engine = if dense_coeffs then `Dense else `Symbolic in
-    let rep = Gus_service.Workload_lint.run ~engine db dir in
+    let rep = Gus_service.Workload_lint.run db dir in
     print_endline (Json.to_string (Gus_service.Workload_lint.to_json rep));
     exit (Gus_service.Workload_lint.exit_code rep)
   in
@@ -340,7 +326,7 @@ let lint_workload_cmd =
              aggregated JSON report.  Exit codes are a stable CI \
              contract: 0 all clean, 1 at least one error-severity \
              finding or unparsable query, 124 no such directory.")
-    Term.(const run $ C.scale_arg $ dir_arg $ dense_coeffs_arg $ C.data_arg)
+    Term.(const run $ C.scale_arg $ dir_arg $ C.data_arg)
 
 (* ---- serve ---- *)
 
@@ -864,9 +850,10 @@ let repl_cmd =
                      (Gus_sql.Runner.run_exact db sql)
                  end
                  else
-                   Format.printf "%a@."
-                     Gus_sql.Runner.pp_result
-                     (Gus_sql.Runner.run ~seed:!seed db text)
+                   Format.printf "%a@." Gus_sql.Runner.pp_result
+                     (Gus_sql.Runner.run_request db
+                        (Gus_sql.Runner.request ~seed:!seed text))
+                       .Gus_sql.Runner.rs_result
                with
               | Gus_sql.Parser.Error msg | Gus_sql.Planner.Error msg ->
                   Printf.printf "error: %s\n" msg

@@ -18,7 +18,10 @@ let () =
   print_endline "query:";
   print_endline sql;
   print_newline ();
-  let result = Gus_sql.Runner.run ~seed:13 db sql in
+  let result =
+    (Gus_sql.Runner.run_request db (Gus_sql.Runner.request ~seed:13 sql))
+      .Gus_sql.Runner.rs_result
+  in
   let lo, hi =
     match result.Gus_sql.Runner.cells with
     | [ lo; hi ] -> (lo.Gus_sql.Runner.value, hi.Gus_sql.Runner.value)

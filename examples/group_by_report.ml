@@ -19,7 +19,9 @@ let () =
   print_endline "query:";
   print_endline sql;
   print_newline ();
-  let result = Runner.run ~seed:23 db sql in
+  let result =
+    (Runner.run_request db (Runner.request ~seed:23 sql)).Runner.rs_result
+  in
   let exact = Runner.run_exact_groups db sql in
   Printf.printf "%-6s %-9s %14s %22s %14s\n" "flag" "metric" "estimate"
     "95% interval" "exact";

@@ -28,7 +28,7 @@ let () =
   (* 3. Execute the plan and analyze the sample in one call: the rewriter
      pushes the samplers up into a single GUS quasi-operator (Props 4-8),
      the SBox computes the unbiased estimate and its variance (Thm 1). *)
-  let report, analysis = Sbox.run ~seed:7 db plan ~f in
+  let report, analysis = Sbox.stream ~seed:7 db plan ~f in
 
   Format.printf "sample:   %d result tuples@." report.Sbox.n_tuples;
   Format.printf "top GUS:  @[%a@]@.@." Gus_core.Gus.pp (Lazy.force analysis.Rewrite.gus);

@@ -1,4 +1,5 @@
 module Gus = Gus_core.Gus
+module Symalg = Gus_core.Symalg
 module Subset = Gus_util.Subset
 
 type report = {
@@ -8,53 +9,11 @@ type report = {
   est_groups : float;
   predicted_cost : float;
   variance_bound : float;
-  skip_mask : int;
+  dead : int;
   cls : Absdom.Cls.t;
 }
 
-(* Relation [i] is "design-inert" (dead) when the second-order
-   inclusion probabilities do not depend on whether [i] is in the
-   subset: b_{T ∪ {i}} = b_T for every T.  Unsampled relations and
-   p = 1 Bernoullis are exactly of this shape (their product-form
-   factor has φ(1) = φ(0)).  The comparison is on float bits: joins
-   build b arrays by multiplying the factor in, so an inert factor
-   multiplies by 1.0 and the equality is exact. *)
-let dead_mask_unverified (g : Gus.t) =
-  let n = Gus.n_rels g in
-  let nmasks = Subset.count n in
-  let dead = ref 0 in
-  for i = 0 to n - 1 do
-    let bit = 1 lsl i in
-    let inert = ref true in
-    let t = ref 0 in
-    while !inert && !t < nmasks do
-      if !t land bit = 0 && not (Gus.b_get g !t = Gus.b_get g (!t lor bit))
-      then inert := false;
-      t := !t + 1
-    done;
-    if !inert then dead := !dead lor bit
-  done;
-  !dead
-
-(* The fast Möbius transform turns exact b-equality into exact float
-   zeros for every dead-containing coefficient (the dead dimension's
-   pass computes x −. x = 0.0 and later passes compute 0.0 −. 0.0), but
-   verify against the actual coefficients and refuse to skip anything
-   if a single one is not bit-zero: skipping is only ever a no-op. *)
-let verified_dead_mask (g : Gus.t) c =
-  let dead = dead_mask_unverified g in
-  if dead = 0 then 0
-  else
-    let nmasks = Array.length c in
-    let ok = ref true in
-    for s = 0 to nmasks - 1 do
-      if s land dead <> 0 && not (c.(s) = 0.0) then ok := false
-    done;
-    if !ok then dead else 0
-
-let skip_mask g = verified_dead_mask g (Gus.c_coefficients g)
-
-let variance_bound_of_c_a ~a c =
+let variance_bound_of_c ~a c =
   if not (a > 0.0) then infinity
   else begin
     let sum = ref 0.0 in
@@ -62,18 +21,52 @@ let variance_bound_of_c_a ~a c =
     Float.max 0.0 ((!sum /. (a *. a)) -. 1.0)
   end
 
-let variance_bound_of_c (g : Gus.t) c = variance_bound_of_c_a ~a:g.Gus.a c
+(* The report, computed from the sum-of-products form without touching
+   2^n anywhere:
 
-let variance_bound g = variance_bound_of_c g (Gus.c_coefficients g)
+   - the dead set is the complement of the *structural* live mask (a
+     factor with lo = hi on float bits multiplies identical values into
+     b_T and b_{T∪{i}}, so the dense entries are bit-equal and the
+     Möbius coefficients exact zeros);
+   - the variance bound either enumerates the coefficients over the
+     *projected* k-relation live universe (entries are bit-equal to the
+     dense [b] at the embedded masks, the transform runs the same per-bit
+     passes in the same order, and the positive-sum accumulates the
+     surviving coefficients in the same ascending order a dense scan
+     does), or uses the closed form Σ c_S⁺ = b_full = a for
+     provably-nonnegative designs where enumeration would be wasteful. *)
 
-let analyze ~(facts : Dataflow.table) (g : Gus.t) =
-  let n = Gus.n_rels g in
-  let c = Gus.c_coefficients g in
-  let skip_mask = verified_dead_mask g c in
-  let passes = Subset.count n - 1 in
-  let skipped =
-    if skip_mask = 0 then 0
-    else passes - (Subset.count (n - Subset.cardinal skip_mask) - 1)
+(* Below this live-relation count, always enumerate: bit-parity with a
+   dense enumeration costs at most 2^8 evaluations. *)
+let sym_enum_limit = 8
+
+(* Enumerating 2^k coefficients stays cheap well past the dense-array
+   wall; beyond this the bound for non-monotone designs is unknown. *)
+let sym_enum_hard_limit = 20
+
+let analyze_sym ~(facts : Dataflow.table) (sym : Symalg.t) =
+  let n = Symalg.n_rels sym in
+  let live = Symalg.live_mask sym in
+  let k = Subset.cardinal live in
+  let passes = Subset.full_wide n (* 2^n − 1 without the 2^n array *) in
+  let skipped = passes - Subset.full_wide k in
+  let a = sym.Symalg.a in
+  let enumerate () =
+    let g_live = Symalg.to_gus (Symalg.project sym live) in
+    variance_bound_of_c ~a (Gus.c_coefficients g_live)
+  in
+  let materialized =
+    match sym.Symalg.repr with Symalg.Dense _ -> true | Symalg.Sop _ -> false
+  in
+  let variance_bound =
+    if not (a > 0.0) then infinity
+    else if materialized || k <= sym_enum_limit then enumerate ()
+    else if Symalg.nonneg_monotone sym then
+      (* Σ c_S⁺ = Σ c_S = b_full = a exactly (all coefficients are
+         nonnegative and the telescoping sum is the diagonal). *)
+      Float.max 0.0 ((a /. (a *. a)) -. 1.0)
+    else if k <= sym_enum_hard_limit then enumerate ()
+    else infinity
   in
   let root = Dataflow.root facts in
   let est_groups = Float.max 1.0 (Absdom.Card.exp root.Dataflow.card) in
@@ -82,75 +75,9 @@ let analyze ~(facts : Dataflow.table) (g : Gus.t) =
     skipped;
     est_groups;
     predicted_cost = float_of_int (passes - skipped) *. est_groups;
-    variance_bound = variance_bound_of_c g c;
-    skip_mask;
+    variance_bound;
+    dead = Subset.diff (Subset.full_wide n) live;
     cls = root.Dataflow.cls }
-
-(* ---- symbolic analysis ----
-
-   Same report, computed from the sum-of-products form without touching
-   2^n anywhere:
-
-   - the skip-mask is the complement of the *structural* live mask (a
-     factor with lo = hi on float bits multiplies identical values into
-     b_T and b_{T∪{i}}, so the dense entries would be bit-equal and the
-     Möbius coefficients exact zeros — the same argument {!skip_mask}
-     verifies numerically);
-   - the variance bound either enumerates the coefficients over the
-     *projected* k-relation live universe (k small: entries are bit-equal
-     to the dense [b] at the embedded masks, the transform runs the same
-     per-bit passes in the same order, and the positive-sum accumulates
-     the surviving coefficients in the same ascending order the dense scan
-     does — so the bound is bit-identical to {!analyze}'s), or uses the
-     closed form Σ c_S⁺ = b_full = a for provably-nonnegative designs
-     where enumeration would be wasteful. *)
-
-module Symalg = Gus_core.Symalg
-
-(* Below this live-relation count, always enumerate: bit-parity with the
-   dense path costs at most 2^8 evaluations. *)
-let sym_enum_limit = 8
-
-(* Enumerating 2^k coefficients stays cheap well past the dense-array
-   wall; beyond this the bound for non-monotone designs is unknown. *)
-let sym_enum_hard_limit = 20
-
-let analyze_sym ~(facts : Dataflow.table) (sym : Symalg.t) =
-  match sym.Symalg.repr with
-  | Symalg.Dense g -> analyze ~facts g
-  | Symalg.Sop _ ->
-      let n = Symalg.n_rels sym in
-      let live = Symalg.live_mask sym in
-      let k = Subset.cardinal live in
-      let passes = Subset.full_wide n (* 2^n − 1 without the 2^n array *) in
-      let skip_mask =
-        if k = n then 0 else Subset.diff (Subset.full_wide n) live
-      in
-      let skipped = if skip_mask = 0 then 0 else passes - ((1 lsl k) - 1) in
-      let enumerate () =
-        let g_live = Symalg.to_gus (Symalg.project sym live) in
-        variance_bound_of_c_a ~a:sym.Symalg.a (Gus.c_coefficients g_live)
-      in
-      let variance_bound =
-        if not (sym.Symalg.a > 0.0) then infinity
-        else if k <= sym_enum_limit then enumerate ()
-        else if Symalg.nonneg_monotone sym then
-          (* Σ c_S⁺ = Σ c_S = b_full = a exactly (all coefficients are
-             nonnegative and the telescoping sum is the diagonal). *)
-          Float.max 0.0 ((sym.Symalg.a /. (sym.Symalg.a *. sym.Symalg.a)) -. 1.0)
-        else if k <= sym_enum_hard_limit then enumerate ()
-        else infinity
-      in
-      let root = Dataflow.root facts in
-      let est_groups = Float.max 1.0 (Absdom.Card.exp root.Dataflow.card) in
-      { n_rels = n;
-        passes;
-        skipped;
-        est_groups;
-        predicted_cost = float_of_int (passes - skipped) *. est_groups;
-        variance_bound;
-        skip_mask;
-        cls = root.Dataflow.cls }
 
 let pp ppf r =
   Format.fprintf ppf

@@ -3,17 +3,13 @@
     Everything here is a pure function of the GUS design (and the
     {!Dataflow} facts for group-count estimation) — no data access.
 
-    {b Skip-mask.}  A relation is {e design-inert} when the
-    second-order probabilities ignore it: [b_{T∪{i}} = b_T] for all
-    [T] — the Prop.-6 product-form factor of an unsampled relation (or
-    a p = 1 Bernoulli) satisfies φ(1) = φ(0).  Every coefficient [c_S]
-    with [S] touching an inert relation is provably zero, and — because
-    the fast Möbius transform subtracts bit-equal floats — {e exactly}
-    [0.0] in floating point.  {!skip_mask} returns the inert-relation
-    bitmask only after verifying that bit-exactness against the actual
-    coefficient array, so consumers ({!Gus_estimator.Moments}) may skip
-    those moment passes with bit-identical results on the remaining
-    entries. *)
+    {b Dead relations.}  A relation is {e dead} (design-inert) when the
+    second-order probabilities ignore it: [b_{T∪{i}} = b_T] for all [T] —
+    the Prop.-6 product-form factor of an unsampled relation (or a p = 1
+    Bernoulli) satisfies φ(1) = φ(0).  Every coefficient [c_S] with [S]
+    touching a dead relation is exactly [0.0], so the estimator only runs
+    the [2^k] moment passes over the [k] live relations
+    ({!Gus_core.Symalg.live_mask}, {!Gus_core.Symalg.project}). *)
 
 type report = {
   n_rels : int;
@@ -24,29 +20,21 @@ type report = {
   variance_bound : float;
       (** Theorem-1 worst case for f ≥ 0:
           [Var/E² ≤ Σ_S max(0, c_S)/a² − 1]; [infinity] when [a = 0] *)
-  skip_mask : int;  (** verified inert-relation bitmask (0 = none) *)
+  dead : int;
+      (** dead-relation bitmask, the complement of
+          {!Gus_core.Symalg.live_mask} (0 = every relation live) *)
   cls : Absdom.Cls.t;  (** GUS class of the overall design *)
 }
 
-val skip_mask : Gus_core.Gus.t -> int
-(** Verified inert-relation bitmask: mask [s] of the moments kernel can
-    be skipped iff [s land skip_mask <> 0].  Returns 0 (skip nothing)
-    unless every skippable coefficient is exactly [0.0]. *)
-
-val variance_bound : Gus_core.Gus.t -> float
-
-val analyze : facts:Dataflow.table -> Gus_core.Gus.t -> report
-(** Requires the facts of the {e same} plan the GUS was rewritten from
-    (only the root fact is consulted). *)
-
 val analyze_sym : facts:Dataflow.table -> Gus_core.Symalg.t -> report
-(** {!analyze} computed from the symbolic sum-of-products form without
-    enumerating [2^n] anywhere: the skip-mask comes from the structural
-    live mask (dead factor ⇒ bit-equal dense entries ⇒ exact-zero
-    coefficients), and the variance bound either enumerates coefficients
-    over the {e projected} live universe (small live sets — bit-identical
-    to {!analyze}'s bound) or collapses to the closed form
-    [Σ c_S⁺ = a] for provably-nonnegative designs.  Dense-fallback
-    representations delegate to {!analyze}. *)
+(** Requires the facts of the {e same} plan the design was rewritten from
+    (only the root fact is consulted).  Never enumerates [2^n]: the dead
+    set is the structural complement of the live mask, and the variance
+    bound either enumerates the coefficients over the {e projected} live
+    universe — bit-identical to a dense enumeration over all [2^n]
+    entries, since the dead-touching ones are exact zeros and the rest
+    come out of the same per-bit passes in the same order — or collapses
+    to the closed form [Σ c_S⁺ = a] for provably-nonnegative designs.
+    Dense-fallback representations always enumerate. *)
 
 val pp : Format.formatter -> report -> unit

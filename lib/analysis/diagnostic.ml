@@ -88,7 +88,7 @@ let title = function
   | Analysis_limit -> "plan exceeds the analyzer's implementation limits"
   | Enumeration_cost -> "coefficient enumeration is expensive for this plan"
   | Variance_bound -> "large worst-case relative variance bound"
-  | Zero_coefficients -> "provably-zero coefficients: kernel skip-mask applies"
+  | Zero_coefficients -> "provably-zero coefficients: kernel skips those passes"
   | Stacked_samplers -> "stacked Bernoulli samplers compose into one"
   | Wor_over_deterministic_derived ->
       "WOR over a deterministic derived input: N not known statically"

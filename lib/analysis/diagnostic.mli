@@ -50,8 +50,8 @@ type code =
           threshold *)
   | Zero_coefficients
       (** GUS016 — some coefficient subsets are provably zero under this
-          design (Prop. 6 product structure): the moments kernel will
-          skip them via the emitted skip-mask *)
+          design (Prop. 6 product structure): the moments kernel runs
+          only the live relations' passes *)
   | Stacked_samplers
       (** GUS017 — two plain Bernoulli samplers stacked directly: they
           compose into one with a = a₁·a₂ (Prop. 8); a fix is attached *)

@@ -15,12 +15,13 @@ type config = {
 let default_config =
   { small_a = 1e-3; variance_bound = 1e4; cost_budget = 1e8 }
 
-type coeff_engine = [ `Symbolic | `Dense ]
+exception Unsupported of string
 
 type analysis = {
   skeleton : Splan.t;
   sym : Symalg.t;
   gus : Gus.t Lazy.t;
+  live : Gus.t Lazy.t;
   steps : (string * Symalg.t) list;
   facts : Dataflow.table;
   cost : Cost.report;
@@ -45,35 +46,11 @@ let hints = with_severity D.Hint
 
 let node_label = Splan.node_label
 
-(* ---- GUS coherence (usable on any hand-built GUS, not only plans) ---- *)
+(* ---- GUS coherence ---- *)
 
-let check_gus ?(path = []) ?(node = "GUS") g =
-  let out = ref [] in
-  let emit code message = out := D.make ~code ~path ~node message :: !out in
-  let a = g.Gus.a in
-  if a = 0.0 then
-    emit D.Zero_inclusion_probability
-      "nothing is ever sampled (a = 0): the 1/a scale-up of Theorem 1 is \
-       undefined"
-  else if not (a > 0.0 && a <= 1.0) then
-    emit D.Probability_out_of_range
-      (Printf.sprintf "first-order inclusion probability a = %g is outside \
-                       (0,1]" a);
-  Array.iteri
-    (fun s bs ->
-      if bs > a +. 1e-9 then
-        emit D.Probability_out_of_range
-          (Printf.sprintf
-             "b%s = %g exceeds its marginal a = %g: P[t,t' \xe2\x88\x88 S] \
-              can never exceed P[t \xe2\x88\x88 S]"
-             (Gus.subset_name g s) bs a))
-    g.Gus.b;
-  List.rev !out
-
-(* Symbolic twin of {!check_gus}: the [a] checks are shared, and the
-   per-entry bound is checked without materializing 2^n entries.  A
-   nonneg-monotone SoP provably satisfies b_T ≤ b_full = a everywhere, so
-   the scan is skipped wholesale (the dense scan over such a design is
+(* [a ∈ (0,1]] and [b_T ≤ a], checked without materializing 2^n entries.
+   A nonneg-monotone SoP provably satisfies b_T ≤ b_full = a everywhere,
+   so the scan is skipped wholesale (a dense scan over such a design is
    silent too — products of probabilities only ever shrink); otherwise
    only the live universe is enumerated, since dead-mask entries are
    bit-equal to their live projections. *)
@@ -296,7 +273,22 @@ let validate_config config =
   check "variance_bound" config.variance_bound;
   check "cost_budget" config.cost_budget
 
-let run ?(config = default_config) ?(engine = `Symbolic) ~card plan =
+(* The design the estimator runs: [sym] projected onto its live
+   relations.  Dead relations' coefficients are exact zeros, so the 2^k
+   moment passes over the k live ones are all Theorem 1 needs. *)
+let live_design sym =
+  let live = Symalg.live_mask sym in
+  let k = Subset.cardinal live in
+  if k > Subset.max_universe then
+    raise
+      (Unsupported
+         (Printf.sprintf
+            "plan spans %d relations with %d carrying sampling randomness: \
+             estimation needs 2^%d moment passes, above the 2^%d limit"
+            (Symalg.n_rels sym) k k Subset.max_universe));
+  Symalg.to_gus (Symalg.project sym live)
+
+let run ?(config = default_config) ~card plan =
   validate_config config;
   Metrics.incr m_lint_runs;
   let diags = ref [] in
@@ -488,34 +480,20 @@ let run ?(config = default_config) ?(engine = `Symbolic) ~card plan =
     | None -> None
     | Some sym ->
         let node = node_label plan in
-        let a_root, analyzed =
-          match engine with
-          | `Symbolic ->
-              List.iter emit (check_sym ~path:[] ~node sym);
-              ( Some sym.Symalg.a,
-                guarded [] node (fun () -> Cost.analyze_sym ~facts sym) )
-          | `Dense -> (
-              (* Legacy measurement path: materialize the full 2^n vector
-                 and run the historical checks on it, exactly as before the
-                 symbolic engine existed. *)
-              match guarded [] node (fun () -> Symalg.to_gus sym) with
-              | None -> (None, None)
-              | Some g ->
-                  List.iter emit (check_gus ~path:[] ~node g);
-                  ( Some g.Gus.a,
-                    guarded [] node (fun () -> Cost.analyze ~facts g) ))
+        List.iter emit (check_sym ~path:[] ~node sym);
+        let analyzed =
+          guarded [] node (fun () -> Cost.analyze_sym ~facts sym)
         in
-        (match a_root with
-        | Some a when a > 0.0 && a < config.small_a ->
-            emit
-              (D.make ~code:D.Small_inclusion_probability ~path:[] ~node
-                 (Printf.sprintf
-                    "effective sampling fraction a = %g is below %g: Theorem-1 \
-                     variance terms scale with c_S/a\xc2\xb2 (blow-up factor \
-                     \xe2\x89\x88 %.3g)"
-                    a config.small_a
-                    (1.0 /. (a *. a))))
-        | _ -> ());
+        let a = sym.Symalg.a in
+        if a > 0.0 && a < config.small_a then
+          emit
+            (D.make ~code:D.Small_inclusion_probability ~path:[] ~node
+               (Printf.sprintf
+                  "effective sampling fraction a = %g is below %g: Theorem-1 \
+                   variance terms scale with c_S/a\xc2\xb2 (blow-up factor \
+                   \xe2\x89\x88 %.3g)"
+                  a config.small_a
+                  (1.0 /. (a *. a))));
         match analyzed with
         | None -> None
         | Some cost ->
@@ -546,11 +524,11 @@ let run ?(config = default_config) ?(engine = `Symbolic) ~card plan =
                        up to \xe2\x89\x88 %.3g\xc3\x97"
                       cost.Cost.variance_bound config.variance_bound
                       (Float.sqrt cost.Cost.variance_bound)));
-            if root.sampled && cost.Cost.skip_mask <> 0 then begin
+            if root.sampled && cost.Cost.dead <> 0 then begin
               let inert =
                 List.filter_map
                   (fun i ->
-                    if Subset.mem cost.Cost.skip_mask i then
+                    if Subset.mem cost.Cost.dead i then
                       Some sym.Symalg.rels.(i)
                     else None)
                   (List.init (Symalg.n_rels sym) Fun.id)
@@ -583,6 +561,7 @@ let run ?(config = default_config) ?(engine = `Symbolic) ~card plan =
           { skeleton = root.skeleton;
             sym;
             gus = lazy (Symalg.to_gus sym);
+            live = lazy (live_design sym);
             steps = List.rev !steps;
             facts;
             cost;
@@ -591,8 +570,8 @@ let run ?(config = default_config) ?(engine = `Symbolic) ~card plan =
   in
   { diagnostics; analysis }
 
-let run_db ?config ?engine db plan =
-  run ?config ?engine plan
+let run_db ?config db plan =
+  run ?config plan
     ~card:(fun r ->
       Gus_relational.Relation.cardinality (Gus_relational.Database.find db r))
 

@@ -30,15 +30,10 @@ type config = {
 val default_config : config
 (** [{ small_a = 1e-3; variance_bound = 1e4; cost_budget = 1e8 }]. *)
 
-type coeff_engine = [ `Symbolic | `Dense ]
-(** Which coefficient engine the root checks and cost model run on.
-    [`Symbolic] (the default) keeps the design in
-    {!Gus_core.Symalg} sum-of-products form — closed-form sparse
-    coefficients, no [2^n] enumeration, works past the dense width wall.
-    [`Dense] materializes the full [2^n] vector and runs the historical
-    path — the legacy measurement baseline ([gusdb lint
-    --dense-coeffs]), byte-identical in output where both engines
-    apply. *)
+exception Unsupported of string
+(** A plan the estimator cannot run; re-exported as
+    {!Rewrite.Unsupported}, which lists the causes.  {!run} never raises
+    it: forcing {!analysis.live} does. *)
 
 type analysis = {
   skeleton : Gus_core.Splan.t;
@@ -47,15 +42,25 @@ type analysis = {
       (** single equivalent GUS over the skeleton's lineage, in symbolic
           sum-of-products form *)
   gus : Gus_core.Gus.t Lazy.t;
-      (** dense materialization of [sym]; forcing raises
-          {!Gus_core.Gus.Incompatible} past the dense width wall
-          ({!Gus_util.Subset.max_universe} relations) *)
+      (** dense materialization of [sym] over all [2^n] subsets; forcing
+          raises {!Gus_core.Gus.Incompatible} past the dense width wall
+          ({!Gus_util.Subset.max_universe} relations).  The estimator
+          never forces it — it runs [live]. *)
+  live : Gus_core.Gus.t Lazy.t;
+      (** [sym] projected onto its live relations
+          ({!Gus_core.Symalg.live_mask}, {!Gus_core.Symalg.project}) and
+          materialized over [2^k] subsets: the design every estimator
+          runs.  Its relations are the live ones in lineage order, so the
+          SBox finds their columns by name.  Dead relations'
+          coefficients are exact zeros, so no estimate or variance bit
+          depends on them.  Forcing raises {!Unsupported} when the [k]
+          live relations alone exceed {!Gus_util.Subset.max_universe}. *)
   steps : (string * Gus_core.Symalg.t) list;
       (** derivation trace, leaves first — the Figure-4 walk-through *)
   facts : Dataflow.table;
       (** per-node abstract-interpretation facts (pre-order) *)
   cost : Cost.report;
-      (** static cost/variance model, including the verified skip-mask *)
+      (** static cost/variance model, including the dead-relation set *)
   sampler_gus : (Diagnostic.path * Gus_core.Symalg.t) list;
       (** the Figure-1 GUS of each sampling operator, keyed by plan path
           — computed once here so executors need not re-lint per run *)
@@ -70,7 +75,6 @@ type report = {
 
 val run :
   ?config:config ->
-  ?engine:coeff_engine ->
   card:(string -> int) ->
   Gus_core.Splan.t ->
   report
@@ -84,29 +88,29 @@ val run :
 
 val run_db :
   ?config:config ->
-  ?engine:coeff_engine ->
   Gus_relational.Database.t ->
   Gus_core.Splan.t ->
   report
 
+val live_design : Gus_core.Symalg.t -> Gus_core.Gus.t
+(** [sym] projected onto its live relations and materialized over [2^k]
+    subsets — what {!analysis.live} holds.  Raises {!Unsupported} when
+    the [k] live relations exceed {!Gus_util.Subset.max_universe}. *)
+
 val errors : report -> Diagnostic.t list
 val warnings : report -> Diagnostic.t list
 val hints : report -> Diagnostic.t list
-
-val check_gus :
-  ?path:Diagnostic.path -> ?node:string -> Gus_core.Gus.t -> Diagnostic.t list
-(** Coherence checks on a single GUS value: [a ∈ (0,1]] and every
-    second-order probability bounded by its marginal ([b_T ≤ a]). *)
 
 val check_sym :
   ?path:Diagnostic.path ->
   ?node:string ->
   Gus_core.Symalg.t ->
   Diagnostic.t list
-(** Symbolic twin of {!check_gus}: the [a] checks are shared; the
+(** Coherence checks on a single design: [a ∈ (0,1]] and every
+    second-order probability bounded by its marginal ([b_T ≤ a]).  The
     [b_T ≤ a] scan is skipped wholesale for provably-monotone designs,
-    enumerates only the live subsets otherwise, and falls back to the
-    full dense scan for dense-fallback representations. *)
+    enumerates only the live subsets otherwise, and scans every entry of
+    a dense-fallback representation. *)
 
 (** What a sampler's input looks like, for WOR/block translatability:
     a bare [Scan]; a cardinality-preserving [Project] chain over one

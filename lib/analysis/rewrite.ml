@@ -4,7 +4,7 @@ module Symalg = Gus_core.Symalg
 module Splan = Gus_core.Splan
 module D = Diagnostic
 
-exception Unsupported of string
+exception Unsupported = Lint.Unsupported
 
 let render_errors errs =
   String.concat "\n"
@@ -18,6 +18,7 @@ type result = {
   skeleton : Splan.t;
   sym : Symalg.t;
   gus : Gus.t Lazy.t;
+  live : Gus.t Lazy.t;
   steps : (string * Symalg.t) list;
 }
 
@@ -40,13 +41,14 @@ let sampler_gus ~card ~over ~input sampler =
       raise (Unsupported "sampler translation failed")
   | errs, _ -> raise (Unsupported (render_errors errs))
 
-let analyze ?coeff_engine ~card plan =
-  let report = Lint.run ?engine:coeff_engine ~card plan in
+let analyze ~card plan =
+  let report = Lint.run ~card plan in
   match (Lint.errors report, report.Lint.analysis) with
   | [], Some a ->
       { skeleton = a.Lint.skeleton;
         sym = a.Lint.sym;
         gus = a.Lint.gus;
+        live = a.Lint.live;
         steps = a.Lint.steps }
   | [], None ->
       (* Unreachable: the linter produces an analysis iff it found no
@@ -54,7 +56,7 @@ let analyze ?coeff_engine ~card plan =
       raise (Unsupported "plan is not GUS-analyzable")
   | errs, _ -> raise (Unsupported (render_errors errs))
 
-let analyze_db ?coeff_engine db plan =
-  analyze ?coeff_engine plan
+let analyze_db db plan =
+  analyze plan
     ~card:(fun r ->
       Gus_relational.Relation.cardinality (Gus_relational.Database.find db r))

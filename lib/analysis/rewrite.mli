@@ -19,7 +19,10 @@ exception Unsupported of string
     (GUS002), DISTINCT above sampling (GUS007), out-of-range probabilities
     (GUS008), degenerate [a = 0] samplers (GUS009), and plans beyond the
     2ⁿ-coefficient analysis limit (GUS013).  The message contains one line
-    per finding, each prefixed with its code. *)
+    per finding, each prefixed with its code.  Also raised, without a
+    code, by forcing {!result.live} on a plan whose live relations alone
+    exceed {!Gus_util.Subset.max_universe}.  The same exception as
+    {!Lint.Unsupported}. *)
 
 val render_errors : Diagnostic.t list -> string
 (** The multi-line message format used for {!Unsupported} payloads. *)
@@ -33,6 +36,10 @@ type result = {
   gus : Gus_core.Gus.t Lazy.t;
       (** dense materialization of [sym], forced on demand; raises
           {!Gus_core.Gus.Incompatible} past the dense width wall *)
+  live : Gus_core.Gus.t Lazy.t;
+      (** the estimator's design: [sym] projected onto its live relations
+          ({!Lint.analysis.live}); raises {!Unsupported} past
+          {!Gus_util.Subset.max_universe} live relations *)
   steps : (string * Gus_core.Symalg.t) list;
       (** derivation trace, leaves first — the Figure-4 walk-through *)
 }
@@ -42,18 +49,12 @@ val dense : result -> Gus_core.Gus.t
     {!Gus_core.Gus.Incompatible} past {!Gus_util.Subset.max_universe}
     relations — wide plans must stay on the symbolic representation. *)
 
-val analyze :
-  ?coeff_engine:Lint.coeff_engine ->
-  card:(string -> int) ->
-  Gus_core.Splan.t ->
-  result
+val analyze : card:(string -> int) -> Gus_core.Splan.t -> result
 (** [card] resolves base-relation cardinalities (needed to translate
     [WOR(n)] into [a = n/N]); typically [fun r -> Relation.cardinality
-    (Database.find db r)].  [coeff_engine] selects the root
-    check/cost engine (default [`Symbolic]); see {!Lint.coeff_engine}. *)
+    (Database.find db r)]. *)
 
 val analyze_db :
-  ?coeff_engine:Lint.coeff_engine ->
   Gus_relational.Database.t ->
   Gus_core.Splan.t ->
   result

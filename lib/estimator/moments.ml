@@ -12,28 +12,6 @@ let m_batch_pairs = Metrics.counter "moments.batch.pairs"
 let m_acc_tuples = Metrics.counter "moments.acc.tuples"
 let m_materialized = Metrics.counter "moments.pairs.materialized"
 
-module Key = struct
-  type t = int array
-
-  (* Monomorphic: polymorphic compare on int arrays walks the generic
-     structural-equality interpreter per element. *)
-  let equal (a : int array) (b : int array) =
-    let n = Array.length a in
-    n = Array.length b
-    &&
-    let rec go i =
-      i >= n || (Array.unsafe_get a i = Array.unsafe_get b i && go (i + 1))
-    in
-    go 0
-
-  let hash (l : t) =
-    let h = ref (Gus_util.Hashing.mix64 23L) in
-    Array.iter (fun id -> h := Gus_util.Hashing.combine !h (Int64.of_int id)) l;
-    Int64.to_int !h land max_int
-end
-
-module Tbl = Hashtbl.Make (Key)
-
 let check_lengths ~what ~width ~lineage_of pairs =
   Array.iter
     (fun p ->
@@ -80,62 +58,6 @@ let[@inline] apply_view view (pos : int array) npos =
       for k = 0 to npos - 1 do
         Array.unsafe_set pos k (Array.unsafe_get v (Array.unsafe_get pos k))
       done
-
-(* ------------------------------------------------------------------ *)
-(* Naive reference implementation (the original seed code): one fresh
-   restricted-lineage key array per tuple per subset, one polymorphic-ish
-   hashtable per subset.  Retained as the oracle the optimized kernel is
-   property-tested against, and as the "before" side of the
-   BENCH_moments.json trajectory. *)
-
-let of_pairs_naive ~n_rels pairs =
-  check_view ~what:"of_pairs" ~n_rels ~width:n_rels None;
-  check_lengths ~what:"of_pairs" ~width:n_rels ~lineage_of:fst pairs;
-  let nmasks = Subset.count n_rels in
-  let y = Array.make nmasks 0.0 in
-  let grand = Array.fold_left (fun acc (_, f) -> acc +. f) 0.0 pairs in
-  y.(Subset.empty) <- grand *. grand;
-  for s = 1 to nmasks - 1 do
-    let positions = Subset.elements s in
-    let groups = Tbl.create (max 64 (Array.length pairs / 4)) in
-    Array.iter
-      (fun (l, f) ->
-        let key = Lineage.restrict l ~positions in
-        match Tbl.find_opt groups key with
-        | Some sum -> Tbl.replace groups key (sum +. f)
-        | None -> Tbl.add groups key f)
-      pairs;
-    let acc = ref 0.0 in
-    Tbl.iter (fun _ sum -> acc := !acc +. (sum *. sum)) groups;
-    y.(s) <- !acc
-  done;
-  y
-
-let bilinear_of_pairs_naive ~n_rels pairs =
-  check_view ~what:"bilinear_of_pairs" ~n_rels ~width:n_rels None;
-  check_lengths ~what:"bilinear_of_pairs" ~width:n_rels
-    ~lineage_of:(fun (l, _, _) -> l)
-    pairs;
-  let nmasks = Subset.count n_rels in
-  let y = Array.make nmasks 0.0 in
-  let grand_f = Array.fold_left (fun acc (_, f, _) -> acc +. f) 0.0 pairs in
-  let grand_g = Array.fold_left (fun acc (_, _, g) -> acc +. g) 0.0 pairs in
-  y.(Subset.empty) <- grand_f *. grand_g;
-  for s = 1 to nmasks - 1 do
-    let positions = Subset.elements s in
-    let groups = Tbl.create (max 64 (Array.length pairs / 4)) in
-    Array.iter
-      (fun (l, f, g) ->
-        let key = Lineage.restrict l ~positions in
-        match Tbl.find_opt groups key with
-        | Some (sf, sg) -> Tbl.replace groups key (sf +. f, sg +. g)
-        | None -> Tbl.add groups key (f, g))
-      pairs;
-    let acc = ref 0.0 in
-    Tbl.iter (fun _ (sf, sg) -> acc := !acc +. (sf *. sg)) groups;
-    y.(s) <- !acc
-  done;
-  y
 
 (* ------------------------------------------------------------------ *)
 (* Optimized kernel.
@@ -206,18 +128,11 @@ let run_passes ?pool ~par_threshold ~n_pairs ~nmasks body =
     let p = match pool with Some p -> p | None -> Pool.default () in
     Pool.run_chunks p ~lo:1 ~hi:nmasks body
 
-let check_skip_mask ~what ~n_rels skip_mask =
-  if skip_mask land lnot (Subset.full n_rels) <> 0 then
-    invalid_arg
-      (Printf.sprintf "Moments.%s: skip_mask has bits outside the universe"
-         what)
-
-let of_pairs ?pool ?(par_threshold = default_par_threshold) ?(skip_mask = 0)
-    ?view ?lineage_width ~n_rels pairs =
+let of_pairs ?pool ?(par_threshold = default_par_threshold) ?view
+    ?lineage_width ~n_rels pairs =
   let width = Option.value lineage_width ~default:n_rels in
   check_view ~what:"of_pairs" ~n_rels ~width view;
   check_lengths ~what:"of_pairs" ~width ~lineage_of:fst pairs;
-  check_skip_mask ~what:"of_pairs" ~n_rels skip_mask;
   let nmasks = Subset.count n_rels in
   let y = Array.make nmasks 0.0 in
   let m = Array.length pairs in
@@ -237,7 +152,6 @@ let of_pairs ?pool ?(par_threshold = default_par_threshold) ?(skip_mask = 0)
           masked_equal li lj pos !npos
         in
         for s = lo to hi - 1 do
-          if s land skip_mask = 0 then begin
           let t0 = if obs then Gus_obs.Trace.now_ns () else 0 in
           npos := fill_positions pos s;
           apply_view view pos !npos;
@@ -260,18 +174,16 @@ let of_pairs ?pool ?(par_threshold = default_par_threshold) ?(skip_mask = 0)
           if obs then
             Metrics.observe m_pass_us
               (float_of_int (Gus_obs.Trace.now_ns () - t0) /. 1e3)
-          end
         done);
   y
 
-let bilinear_of_pairs ?pool ?(par_threshold = default_par_threshold)
-    ?(skip_mask = 0) ?view ?lineage_width ~n_rels pairs =
+let bilinear_of_pairs ?pool ?(par_threshold = default_par_threshold) ?view
+    ?lineage_width ~n_rels pairs =
   let width = Option.value lineage_width ~default:n_rels in
   check_view ~what:"bilinear_of_pairs" ~n_rels ~width view;
   check_lengths ~what:"bilinear_of_pairs" ~width
     ~lineage_of:(fun (l, _, _) -> l)
     pairs;
-  check_skip_mask ~what:"bilinear_of_pairs" ~n_rels skip_mask;
   let nmasks = Subset.count n_rels in
   let y = Array.make nmasks 0.0 in
   let m = Array.length pairs in
@@ -293,7 +205,6 @@ let bilinear_of_pairs ?pool ?(par_threshold = default_par_threshold)
           masked_equal li lj pos !npos
         in
         for s = lo to hi - 1 do
-          if s land skip_mask = 0 then begin
           let t0 = if obs then Gus_obs.Trace.now_ns () else 0 in
           npos := fill_positions pos s;
           apply_view view pos !npos;
@@ -322,7 +233,6 @@ let bilinear_of_pairs ?pool ?(par_threshold = default_par_threshold)
           if obs then
             Metrics.observe m_pass_us
               (float_of_int (Gus_obs.Trace.now_ns () - t0) /. 1e3)
-          end
         done);
   y
 
@@ -370,7 +280,6 @@ module Acc = struct
     width : int;  (* expected lineage length; = n_rels without a view *)
     view : int array option;
     nmasks : int;
-    skip_mask : int;  (* masks s with s ∧ skip_mask ≠ 0 are never grouped *)
     groups : group array;  (* groups.(s - 1) handles mask s *)
     mutable count : int;
     mutable total : float;
@@ -417,29 +326,22 @@ module Acc = struct
     in
     g
 
-  let create ?(hint = 64) ?(skip_mask = 0) ?view ?lineage_width ~n_rels () =
+  let create ?(hint = 64) ?view ?lineage_width ~n_rels () =
     let width = Option.value lineage_width ~default:n_rels in
     check_view ~what:"Acc.create" ~n_rels ~width view;
-    check_skip_mask ~what:"Acc.create" ~n_rels skip_mask;
     let nmasks = Subset.count n_rels in
     { n_rels;
       width;
       view;
       nmasks;
-      skip_mask;
       groups =
-        Array.init (nmasks - 1) (fun i ->
-            (* Skipped masks keep a minimal placeholder group that is
-               never probed. *)
-            let hint = if (i + 1) land skip_mask = 0 then hint else 1 in
-            make_group ~view ~hint (i + 1));
+        Array.init (nmasks - 1) (fun i -> make_group ~view ~hint (i + 1));
       count = 0;
       total = 0.0 }
 
   let count t = t.count
   let total t = t.total
   let n_rels t = t.n_rels
-  let skip_mask t = t.skip_mask
 
   (* Hash of stored group [r] — the same fold as {!masked_hash} over the
      same values in the same order, so rehashing preserves probe homes. *)
@@ -484,7 +386,6 @@ module Acc = struct
     t.count <- t.count + 1;
     t.total <- t.total +. f;
     for s = 1 to t.nmasks - 1 do
-      if s land t.skip_mask = 0 then begin
       let g = t.groups.(s - 1) in
       maybe_grow g;
       g.cur_lineage <- lineage;
@@ -501,7 +402,6 @@ module Acc = struct
         let r = Inttbl.repr_at g.tbl slot in
         g.sums.(r) <- g.sums.(r) +. f
       end
-      end
     done
 
   let add_pairs t pairs = Array.iter (fun (l, f) -> add t l f) pairs
@@ -511,12 +411,9 @@ module Acc = struct
       invalid_arg "Moments.Acc.merge: relation count mismatch";
     if a.view <> b.view then
       invalid_arg "Moments.Acc.merge: view mismatch";
-    if a.skip_mask <> b.skip_mask then
-      invalid_arg "Moments.Acc.merge: skip-mask mismatch";
     a.count <- a.count + b.count;
     a.total <- a.total +. b.total;
     for s = 1 to a.nmasks - 1 do
-      if s land a.skip_mask = 0 then begin
       let ga = a.groups.(s - 1) and gb = b.groups.(s - 1) in
       for r = 0 to gb.ngroups - 1 do
         let base = r * gb.npos in
@@ -535,7 +432,6 @@ module Acc = struct
           ga.sums.(ra) <- ga.sums.(ra) +. gb.sums.(r)
         end
       done
-      end
     done
 
   let finalize ?pool t =
@@ -544,15 +440,13 @@ module Acc = struct
     if t.nmasks > 1 then begin
       let body lo hi =
         for s = lo to hi - 1 do
-          if s land t.skip_mask = 0 then begin
-            let g = t.groups.(s - 1) in
-            let acc = ref 0.0 in
-            for r = 0 to g.ngroups - 1 do
-              let v = Array.unsafe_get g.sums r in
-              acc := !acc +. (v *. v)
-            done;
-            y.(s) <- !acc
-          end
+          let g = t.groups.(s - 1) in
+          let acc = ref 0.0 in
+          for r = 0 to g.ngroups - 1 do
+            let v = Array.unsafe_get g.sums r in
+            acc := !acc +. (v *. v)
+          done;
+          y.(s) <- !acc
         done
       in
       match pool with
@@ -563,8 +457,7 @@ module Acc = struct
     y
 end
 
-let bilinear_of_relation ?pool ~f ~g rel =
-  let open Gus_relational in
+let triples_of_relation ~f ~g rel =
   let ef = Expr.bind_float rel.Relation.schema f in
   let eg = Expr.bind_float rel.Relation.schema g in
   let out = Array.make (Relation.cardinality rel) ([||], 0.0, 0.0) in
@@ -576,9 +469,7 @@ let bilinear_of_relation ?pool ~f ~g rel =
     rel;
   if Metrics.enabled () then
     Metrics.add m_materialized (Relation.cardinality rel);
-  bilinear_of_pairs ?pool
-    ~n_rels:(Array.length rel.Relation.lineage_schema)
-    out
+  out
 
 let pairs_of_relation ~f rel =
   let eval = Expr.bind_float rel.Relation.schema f in

@@ -16,30 +16,21 @@
     count below which the passes always run sequentially on the calling
     domain (default 4096).
 
-    {b Skip-masks.}  [?skip_mask] (default 0) is a bitmask of lineage
-    positions whose moments are statically known to be unused: every
-    subset mask [s] with [s land skip_mask <> 0] is skipped entirely and
-    its [y.(s)] left at [0.0].  The static analyzer
-    ({!Gus_analysis.Cost.skip_mask}) emits it for relations that carry no
-    sampling randomness — their Theorem-1 coefficients are provably (and
-    bit-exactly) zero, so skipped moments never contribute.  Non-skipped
-    entries are computed by exactly the same code path, hence bit-identical
-    to the dense run.
-
     {b Views.}  [?view] (default: identity) embeds a small [n_rels]-subset
     kernel universe into wider lineage arrays: kernel position [i] reads
     lineage column [view.(i)] (strictly ascending, within
     [?lineage_width], which defaults to [n_rels] and must equal every
-    lineage's length).  The symbolic analyzer's live mask turns a
-    20-relation plan with 3 sampled relations into a 3-position view —
-    [2^3] passes over the native 20-column lineages, past the dense
-    [2^n] wall, with each computed entry bit-identical to what the full
-    kernel would produce at the embedded mask. *)
+    lineage's length).  This is how every plan is estimated: the
+    analyzer's live mask ({!Gus_core.Symalg.live_mask}) names the
+    relations that carry sampling randomness, and a 20-relation plan with
+    3 of them runs [2^3] passes over its native 20-column lineages, each
+    computed entry bit-identical to what the full [2^20]-pass kernel
+    would produce at the embedded mask.  Dead relations' Theorem-1
+    coefficients are exact zeros, so their moments are never needed. *)
 
 val of_pairs :
   ?pool:Gus_util.Pool.t ->
   ?par_threshold:int ->
-  ?skip_mask:int ->
   ?view:int array ->
   ?lineage_width:int ->
   n_rels:int ->
@@ -48,11 +39,6 @@ val of_pairs :
 (** [(lineage, f)] pairs → the [2^n_rels] moments, indexed by subset mask.
     Every lineage must have length [lineage_width] (default
     [n_rels]). *)
-
-val of_pairs_naive : n_rels:int -> (int array * float) array -> float array
-(** Reference implementation of {!of_pairs} (fresh key array per tuple per
-    subset, one hashtable per subset).  Kept as the oracle for property
-    tests and benchmarks; do not use on hot paths. *)
 
 val of_relation :
   ?pool:Gus_util.Pool.t ->
@@ -67,13 +53,20 @@ val pairs_of_relation :
 (** The SBox input stream of Section 6.2: per-result-tuple lineage and
     aggregate contribution. *)
 
+val triples_of_relation :
+  f:Gus_relational.Expr.t ->
+  g:Gus_relational.Expr.t ->
+  Gus_relational.Relation.t ->
+  (int array * float * float) array
+(** {!pairs_of_relation} for two aggregates at once: the input of
+    {!bilinear_of_pairs}. *)
+
 val total : (int array * float) array -> float
 (** Σ f — the quantity the estimate scales up. *)
 
 val bilinear_of_pairs :
   ?pool:Gus_util.Pool.t ->
   ?par_threshold:int ->
-  ?skip_mask:int ->
   ?view:int array ->
   ?lineage_width:int ->
   n_rels:int ->
@@ -83,18 +76,6 @@ val bilinear_of_pairs :
     generalization used for covariance between two SUM aggregates over the
     same sample (and hence for AVG via the delta method).
     [bilinear_of_pairs] with [f = g] coincides with {!of_pairs}. *)
-
-val bilinear_of_pairs_naive :
-  n_rels:int -> (int array * float * float) array -> float array
-(** Reference implementation of {!bilinear_of_pairs}; see
-    {!of_pairs_naive}. *)
-
-val bilinear_of_relation :
-  ?pool:Gus_util.Pool.t ->
-  f:Gus_relational.Expr.t ->
-  g:Gus_relational.Expr.t ->
-  Gus_relational.Relation.t ->
-  float array
 
 val default_par_threshold : int
 (** Tuple count below which {!of_pairs}/{!bilinear_of_pairs} never
@@ -120,7 +101,6 @@ module Acc : sig
 
   val create :
     ?hint:int ->
-    ?skip_mask:int ->
     ?view:int array ->
     ?lineage_width:int ->
     n_rels:int ->
@@ -129,11 +109,11 @@ module Acc : sig
   (** [create ~n_rels ()] starts an empty accumulator over [n_rels]
       lineage columns.  [hint] pre-sizes each mask's group table (number
       of expected distinct groups, default 64); tables grow by rehashing
-      as needed, so the hint only avoids early rehashes.  [skip_mask]
-      masks are never grouped at all — the big streaming win, since
-      {!add}'s per-tuple loop drops from [2^n_rels − 1] probes to the
-      live masks only.  [view]/[lineage_width] embed a small kernel
-      universe into wider lineages exactly as in {!of_pairs}. *)
+      as needed, so the hint only avoids early rehashes.
+      [view]/[lineage_width] embed a small kernel universe into wider
+      lineages exactly as in {!of_pairs} — the big streaming win, since
+      {!add}'s per-tuple loop probes only the [2^n_rels − 1] live
+      masks. *)
 
   val add : t -> int array -> float -> unit
   (** [add t lineage f] folds in one tuple.  The lineage array is read,
@@ -146,8 +126,7 @@ module Acc : sig
   val merge : t -> t -> unit
   (** [merge a b] folds [b]'s groups into [a] ([b] is unchanged);
       equivalent to having fed [b]'s stream into [a] after [a]'s own, up
-      to float reassociation.  Raises on [n_rels] or skip-mask
-      mismatch. *)
+      to float reassociation.  Raises on [n_rels] or view mismatch. *)
 
   val finalize : ?pool:Gus_util.Pool.t -> t -> float array
   (** The moment vector, indexed by subset mask like {!of_pairs}.  Does
@@ -163,6 +142,4 @@ module Acc : sig
   (** Σ f so far. *)
 
   val n_rels : t -> int
-
-  val skip_mask : t -> int
 end

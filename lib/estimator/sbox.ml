@@ -1,6 +1,5 @@
 module Subset = Gus_util.Subset
 module Gus = Gus_core.Gus
-module Symalg = Gus_core.Symalg
 module Splan = Gus_core.Splan
 module Rewrite = Gus_analysis.Rewrite
 module Interval = Gus_stats.Interval
@@ -21,7 +20,7 @@ type report = {
   stddev : float;
 }
 
-let y_hat_of_moments ?(skip_mask = 0) ~gus y_raw =
+let y_hat_of_moments ~gus y_raw =
   let n = Gus.n_rels gus in
   let nmasks = Subset.count n in
   if Array.length y_raw <> nmasks then
@@ -33,48 +32,32 @@ let y_hat_of_moments ?(skip_mask = 0) ~gus y_raw =
   Array.sort (fun s t -> compare (Subset.cardinal t) (Subset.cardinal s)) masks;
   Array.iter
     (fun s ->
-      if s land skip_mask <> 0 then
-        (* Design-inert mask: its Theorem-1 coefficient is exactly zero
-           (verified by {!Gus_analysis.Cost.skip_mask}), so the solved Ŷ
-           would be multiplied by 0.0 everywhere it could matter.  The raw
-           moment was skipped too, so pin the entry rather than solving
-           from a zero. *)
+      let d = Gus.d_correction gus ~s in
+      let d_ss = d.(Subset.empty) in
+      if Float.abs d_ss < 1e-300 then begin
+        Log.warn (fun m ->
+            m "pair probability b_%s = 0: y_%s is not estimable, using 0"
+              (Gus.subset_name gus s) (Gus.subset_name gus s));
         y_hat.(s) <- 0.0
+      end
       else begin
-        let d = Gus.d_correction gus ~s in
-        let d_ss = d.(Subset.empty) in
-        if Float.abs d_ss < 1e-300 then begin
-          Log.warn (fun m ->
-              m "pair probability b_%s = 0: y_%s is not estimable, using 0"
-                (Gus.subset_name gus s) (Gus.subset_name gus s));
-          y_hat.(s) <- 0.0
-        end
-        else begin
-          let correction = ref 0.0 in
-          let comp = Subset.complement n s in
-          Subset.iter_subsets comp (fun t ->
-              (* Terms whose union hits the skip-mask have an analytically
-                 zero d entry (the pair probabilities factor through the
-                 inert relation) and a pinned-zero Ŷ, so dropping them is
-                 exact. *)
-              if t <> Subset.empty && Subset.union s t land skip_mask = 0 then
-                correction := !correction +. (d.(t) *. y_hat.(Subset.union s t)));
-          y_hat.(s) <- (y_raw.(s) -. !correction) /. d_ss
-        end
+        let correction = ref 0.0 in
+        let comp = Subset.complement n s in
+        Subset.iter_subsets comp (fun t ->
+            if t <> Subset.empty then
+              correction := !correction +. (d.(t) *. y_hat.(Subset.union s t)));
+        y_hat.(s) <- (y_raw.(s) -. !correction) /. d_ss
       end)
     masks;
   y_hat
 
-let of_pairs ?(skip_mask = 0) ~gus pairs =
-  let n = Gus.n_rels gus in
-  let y_raw = Moments.of_pairs ~skip_mask ~n_rels:n pairs in
-  let y_hat = y_hat_of_moments ~skip_mask ~gus y_raw in
-  let total_f = Moments.total pairs in
+let report ~gus ~n_tuples ~total_f y_raw =
+  let y_hat = y_hat_of_moments ~gus y_raw in
   let estimate = Gus.scale_up gus total_f in
   let variance_raw = Gus.variance gus ~y:y_hat in
   let variance = Float.max 0.0 variance_raw in
   { gus;
-    n_tuples = Array.length pairs;
+    n_tuples;
     total_f;
     estimate;
     y_hat;
@@ -82,58 +65,66 @@ let of_pairs ?(skip_mask = 0) ~gus pairs =
     variance_raw;
     stddev = sqrt variance }
 
-let check_lineage gus lschema =
+let lineage_mismatch gus lschema =
+  invalid_arg
+    (Printf.sprintf
+       "Sbox: GUS lineage [%s] is neither the relation lineage [%s] nor a \
+        projection of it"
+       (String.concat "," (Array.to_list gus.Gus.rels))
+       (String.concat "," (Array.to_list lschema)))
+
+(* Where [gus]'s relations sit in a lineage schema, as the moments
+   kernel's [(view, lineage_width)]: [gus] spans the schema itself
+   (identity view) or its live-relation projection — the live relations
+   in schema order, the dropped ones carrying no sampling randomness. *)
+let kernel_view gus lschema =
   let rels = gus.Gus.rels in
-  if
-    Array.length rels <> Array.length lschema
-    || not (Array.for_all2 String.equal rels lschema)
-  then
-    invalid_arg
-      (Printf.sprintf "Sbox: GUS lineage [%s] does not match relation lineage [%s]"
-         (String.concat "," (Array.to_list rels))
-         (String.concat "," (Array.to_list lschema)))
+  let k = Array.length rels in
+  let view = Array.make k 0 in
+  let j = ref 0 in
+  Array.iteri
+    (fun i r ->
+      if !j < k && String.equal rels.(!j) r then begin
+        view.(!j) <- i;
+        incr j
+      end)
+    lschema;
+  if !j < k then lineage_mismatch gus lschema;
+  let width = Array.length lschema in
+  ((if k = width then None else Some view), width)
 
-let check_schema gus rel = check_lineage gus rel.Relation.lineage_schema
+let of_pairs ~gus pairs =
+  let y_raw = Moments.of_pairs ~n_rels:(Gus.n_rels gus) pairs in
+  report ~gus ~n_tuples:(Array.length pairs) ~total_f:(Moments.total pairs)
+    y_raw
 
-let of_relation ?skip_mask ~gus ~f rel =
-  check_schema gus rel;
-  of_pairs ?skip_mask ~gus (Moments.pairs_of_relation ~f rel)
+let check_schema gus rel =
+  let lschema = rel.Relation.lineage_schema in
+  if gus.Gus.rels <> lschema then lineage_mismatch gus lschema
+
+let of_relation ~gus ~f rel =
+  let view, lineage_width = kernel_view gus rel.Relation.lineage_schema in
+  let pairs = Moments.pairs_of_relation ~f rel in
+  let y_raw =
+    Moments.of_pairs ?view ~lineage_width ~n_rels:(Gus.n_rels gus) pairs
+  in
+  report ~gus ~n_tuples:(Array.length pairs) ~total_f:(Moments.total pairs)
+    y_raw
 
 let report_of_acc ?pool ~gus acc =
   if Moments.Acc.n_rels acc <> Gus.n_rels gus then
     invalid_arg "Sbox.report_of_acc: accumulator arity does not match GUS";
   let y_raw = Moments.Acc.finalize ?pool acc in
-  let y_hat = y_hat_of_moments ~skip_mask:(Moments.Acc.skip_mask acc) ~gus y_raw in
-  let total_f = Moments.Acc.total acc in
-  let estimate = Gus.scale_up gus total_f in
-  let variance_raw = Gus.variance gus ~y:y_hat in
-  let variance = Float.max 0.0 variance_raw in
-  { gus;
-    n_tuples = Moments.Acc.count acc;
-    total_f;
-    estimate;
-    y_hat;
-    variance;
-    variance_raw;
-    stddev = sqrt variance }
+  report ~gus ~n_tuples:(Moments.Acc.count acc)
+    ~total_f:(Moments.Acc.total acc) y_raw
 
-let of_plan ?pool ?(skip_mask = 0) ?view ?lineage_width ~gus ~f db rng plan =
+let of_plan ?pool ~gus ~f db rng plan =
   Gus_obs.Trace.span "sbox.of_plan" @@ fun () ->
-  let lschema = Splan.lineage_schema plan in
-  (match (view, lineage_width) with
-  | None, None -> check_lineage gus lschema
-  | Some v, Some w ->
-      (* Wide plan, small live set: the GUS lives on the projected
-         universe; the plan's native lineage is [w] columns wide and the
-         view says which of them the GUS's relations are. *)
-      if Array.length lschema <> w then
-        invalid_arg "Sbox.of_plan: lineage_width does not match the plan";
-      check_lineage gus (Array.map (fun i -> lschema.(i)) v)
-  | _ -> invalid_arg "Sbox.of_plan: view requires lineage_width");
+  let view, lineage_width = kernel_view gus (Splan.lineage_schema plan) in
   let n = Gus.n_rels gus in
   let init schema =
     let eval = Expr.bind_float schema f in
-    (Moments.Acc.create ~skip_mask ?view ?lineage_width ~n_rels:n (), eval)
+    (Moments.Acc.create ?view ~lineage_width ~n_rels:n (), eval)
   in
   let feed (acc, eval) tup =
     Moments.Acc.add acc tup.Tuple.lineage (eval tup);
@@ -208,61 +199,15 @@ let stream ?(seed = 42) ?pool db plan ~f =
   let analysis =
     Gus_obs.Trace.span "sbox.analyze" (fun () -> Rewrite.analyze_db db plan)
   in
-  let sym = analysis.Rewrite.sym in
-  let n = Symalg.n_rels sym in
-  let live = Symalg.live_mask sym in
-  let k = Subset.cardinal live in
-  (* Routing: narrow plans keep the historical dense path bit-for-bit.
-     Wider plans with a small live set project the symbolic design onto
-     its live relations and run 2^k moment passes over the native
-     n-column lineages through a view — the accumulator otherwise keeps
-     2^n group tables, which is prohibitive long before the dense
-     representation itself gives out at [Subset.max_universe].  The dead
-     relations' Theorem-1 coefficients are structural zeros, so the
-     estimate and variance are exactly what the dense run would
-     produce. *)
-  let narrow_limit = 14 in
-  let report =
-    if n <= narrow_limit then begin
-      let gus = Rewrite.dense analysis in
-      let skip_mask = Gus_analysis.Cost.skip_mask gus in
-      of_plan ?pool ~skip_mask ~gus ~f db rng plan
-    end
-    else if k <= Subset.max_universe then begin
-      let view = Array.of_list (Subset.elements live) in
-      let gus = Symalg.to_gus (Symalg.project sym live) in
-      of_plan ?pool ~view ~lineage_width:n ~gus ~f db rng plan
-    end
-    else if n <= Subset.max_universe then begin
-      (* Dense-representable but nearly all relations live: the view
-         buys nothing, fall back to the historical path. *)
-      let gus = Rewrite.dense analysis in
-      let skip_mask = Gus_analysis.Cost.skip_mask gus in
-      of_plan ?pool ~skip_mask ~gus ~f db rng plan
-    end
-    else
-      raise
-        (Rewrite.Unsupported
-           (Printf.sprintf
-              "plan spans %d relations with %d carrying sampling \
-               randomness: estimation needs 2^%d moment passes, above \
-               the 2^%d limit"
-              n k k Subset.max_universe))
-  in
-  (report, analysis)
-
-(* [run] used to materialize the result relation, turn it into a pairs
-   array and hand that to the batch kernel; for an estimation-only query
-   all of that is scaffolding, so it now folds the same tuples (same seed,
-   same draws — [fold_stream] is RNG-faithful) straight into an
-   accumulator.  [estimate]/[total_f]/[n_tuples] are bit-identical to the
-   materializing path; the moment sums may differ in final bits because
-   group-reduction order changed. *)
-let run ?seed db plan ~f = stream ?seed db plan ~f
+  let gus = Lazy.force analysis.Rewrite.live in
+  (of_plan ?pool ~gus ~f db rng plan, analysis)
 
 let covariance ~gus ~f ~g rel =
-  check_schema gus rel;
-  let y_raw = Moments.bilinear_of_relation ~f ~g rel in
+  let view, lineage_width = kernel_view gus rel.Relation.lineage_schema in
+  let y_raw =
+    Moments.bilinear_of_pairs ?view ~lineage_width ~n_rels:(Gus.n_rels gus)
+      (Moments.triples_of_relation ~f ~g rel)
+  in
   (* The Ŷ correction is linear in the moments, so it applies verbatim to
      the bilinear ones. *)
   let y_hat = y_hat_of_moments ~gus y_raw in
@@ -305,7 +250,7 @@ type multi_report = {
 }
 
 let multi ~gus ~fs rel =
-  check_schema gus rel;
+  ignore (kernel_view gus rel.Relation.lineage_schema);
   let labels = Array.of_list (List.map fst fs) in
   let exprs = Array.of_list (List.map snd fs) in
   let k = Array.length exprs in

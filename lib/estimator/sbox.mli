@@ -3,48 +3,52 @@
     Given the GUS describing the sampling process and the sampled result
     tuples' [(lineage, f)] stream, it produces the unbiased estimate, an
     unbiased variance estimate (via the Ŷ_S correction of Section 6.3) and
-    confidence intervals / quantile bounds (Section 6.4). *)
+    confidence intervals / quantile bounds (Section 6.4).
+
+    {b Live projections.}  The [gus] an estimator runs on spans either
+    the full lineage schema of its input or the plan's live-relation
+    projection ({!Gus_analysis.Lint.analysis.live}): the relations that
+    carry sampling randomness, in schema order.  The SBox finds their
+    columns by name and runs the [2^k] moment passes over the [k] live
+    relations only; every dropped relation's Theorem-1 coefficients are
+    exact zeros, so the estimate and variance are bit-identical to the
+    full [2^n]-pass run.  A [gus] over a subset that drops a relation
+    with sampling randomness is the caller's error and gives a wrong
+    variance. *)
 
 type report = {
-  gus : Gus_core.Gus.t;
+  gus : Gus_core.Gus.t;  (** the design the estimate ran on *)
   n_tuples : int;  (** result tuples consumed *)
   total_f : float;  (** Σ f over the sample *)
   estimate : float;  (** total_f / a *)
-  y_hat : float array;  (** unbiased estimates of the y_S moments *)
+  y_hat : float array;
+      (** unbiased estimates of the y_S moments, indexed by subset masks
+          over [gus.rels] *)
   variance : float;  (** Theorem-1 variance with Ŷ plugged in, clamped ≥ 0 *)
   variance_raw : float;  (** before clamping (can be negative from noise) *)
   stddev : float;
 }
 
-val of_pairs :
-  ?skip_mask:int -> gus:Gus_core.Gus.t -> (int array * float) array -> report
-(** Core entry point.  Lineage arrays must align with [gus.rels].
-    [?skip_mask] (default 0, see {!Moments}) must come from
-    {!Gus_analysis.Cost.skip_mask} on this GUS: dead masks get Ŷ pinned
-    to 0, which is exact because their Theorem-1 coefficients are
-    verified bit-zero. *)
+val of_pairs : gus:Gus_core.Gus.t -> (int array * float) array -> report
+(** Core entry point.  Lineage arrays must align with [gus.rels]. *)
 
 val of_relation :
-  ?skip_mask:int ->
   gus:Gus_core.Gus.t ->
   f:Gus_relational.Expr.t ->
   Gus_relational.Relation.t ->
   report
-(** Checks that the relation's lineage schema equals [gus.rels]. *)
+(** Raises [Invalid_argument] unless [gus.rels] is the relation's lineage
+    schema or a projection of it. *)
 
 val report_of_acc :
   ?pool:Gus_util.Pool.t -> gus:Gus_core.Gus.t -> Moments.Acc.t -> report
 (** Finalize a streaming accumulator into a full report.  Non-destructive:
     the accumulator can keep absorbing tuples and be reported again — the
     checkpoint primitive the online estimators build on.  [?pool] is
-    forwarded to {!Moments.Acc.finalize}.  The accumulator's skip-mask
-    carries through to the Ŷ solve. *)
+    forwarded to {!Moments.Acc.finalize}. *)
 
 val of_plan :
   ?pool:Gus_util.Pool.t ->
-  ?skip_mask:int ->
-  ?view:int array ->
-  ?lineage_width:int ->
   gus:Gus_core.Gus.t ->
   f:Gus_relational.Expr.t ->
   Gus_relational.Database.t ->
@@ -58,22 +62,17 @@ val of_plan :
     [n_tuples] as the materializing path (moment sums can differ in final
     bits from reduction order).  With [?pool], chunk-parallel feeding
     (when the streamable suffix is RNG-free) and pooled moment passes.
+    [gus] spans the plan's lineage schema or its live projection, as for
+    {!of_relation}: over a live projection the moment passes group on
+    the live columns of the native lineages, which is how estimation
+    works past the dense [2^n] wall. *)
 
-    [?view]/[?lineage_width] (given together) run a projected GUS over a
-    wide plan: the plan's lineage is [lineage_width] columns, [gus] spans
-    the [view]-selected live columns only, and the moment passes group on
-    those columns through the view ({!Moments.of_pairs}).  This is how
-    estimation works past the dense [2^n] wall. *)
-
-val y_hat_of_moments :
-  ?skip_mask:int -> gus:Gus_core.Gus.t -> float array -> float array
+val y_hat_of_moments : gus:Gus_core.Gus.t -> float array -> float array
 (** The Section-6.3 unbiased correction: raw sample moments [Y] →
     unbiased [Ŷ], solved top-down from the full subset.  When some
     [b'_S = 0] (the pair probability vanishes, e.g. WOR with n ≤ 1) the
     moment is unrecoverable and the entry is set to 0 with a warning
-    logged.  Masks hitting [?skip_mask] are pinned to 0 and their
-    d-correction terms dropped — exact under a verified
-    {!Gus_analysis.Cost.skip_mask}. *)
+    logged. *)
 
 val interval : ?coverage:float -> Gus_stats.Interval.method_ -> report -> Gus_stats.Interval.t
 (** Default coverage 0.95. *)
@@ -91,7 +90,8 @@ val subsampled :
 (** Section-7 efficient estimator: the estimate uses the whole sample, but
     the y_S moments come from a lineage-keyed multidimensional Bernoulli
     subsample of ≈[target] tuples, analyzed by compacting the subsampler's
-    composed GUS onto [gus]. *)
+    composed GUS onto [gus].  The subsampler samples every lineage
+    relation, so [gus] must span the relation's full lineage schema. *)
 
 val stream :
   ?seed:int ->
@@ -100,27 +100,13 @@ val stream :
   Gus_core.Splan.t ->
   f:Gus_relational.Expr.t ->
   report * Gus_analysis.Rewrite.result
-(** Analyze the plan, then estimate it end to end via {!of_plan} — the
-    whole pipeline without ever materializing the sampled result.  Within
-    the dense width ({!Gus_util.Subset.max_universe} relations) this is
-    the historical path: the statically verified skip-mask of the dense
-    GUS is applied, so design-inert moment passes are never grouped at
-    all.  Past it, the symbolic analysis projects the design onto its
-    live relations and estimates through a lineage view — exact, because
-    dead relations' Theorem-1 coefficients are structural zeros.  Raises
-    {!Gus_analysis.Rewrite.Unsupported} only when the {e live} set alone
-    exceeds the dense width. *)
-
-val run :
-  ?seed:int ->
-  Gus_relational.Database.t ->
-  Gus_core.Splan.t ->
-  f:Gus_relational.Expr.t ->
-  report * Gus_analysis.Rewrite.result
-(** Convenience: execute the plan with a seeded RNG, rewrite it, analyze
-    the result.  Since the streaming rewrite this is {!stream} without a
-    pool: same seed ⇒ same sample tuples as the old materializing
-    implementation, bit-identical estimate. *)
+(** Analyze the plan, then estimate it end to end via {!of_plan} over
+    its live projection ({!Gus_analysis.Rewrite.result.live}) — the
+    whole pipeline without ever materializing the sampled result, at any
+    plan width.  The report's [gus] and [y_hat] span the live relations
+    only.  Raises {!Gus_analysis.Rewrite.Unsupported} on plans outside
+    the GUS theory, and when the {e live} set alone exceeds the dense
+    width ({!Gus_util.Subset.max_universe} relations). *)
 
 val exact : Gus_relational.Database.t -> Gus_core.Splan.t -> f:Gus_relational.Expr.t -> float
 (** Ground truth: run the sample-free skeleton and sum [f]. *)

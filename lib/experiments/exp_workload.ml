@@ -18,7 +18,10 @@ let run ?(scale = 1.0) ?(trials = 60) () =
          per-aggregate accumulators in trial order. *)
       let results =
         Harness.map_trials_par ~pool:(Gus_util.Pool.default ()) ~trials ~seed:131
-          (fun _rng tr -> Runner.run ~seed:((tr + 1) * 131) db q.Workload.sampled)
+          (fun _rng tr ->
+            (Runner.run_request db
+               (Runner.request ~seed:((tr + 1) * 131) q.Workload.sampled))
+              .Runner.rs_result)
       in
       let errs = List.map (fun _ -> Summary.create ()) truths in
       let hits = Array.make (List.length truths) 0 in

@@ -164,17 +164,6 @@ let c_coefficients g =
   done;
   c
 
-let c_naive g =
-  let n = n_rels g in
-  Array.init (Subset.count n) (fun s ->
-      Subset.fold_subsets s
-        (fun acc t ->
-          let sign =
-            if (Subset.cardinal (Subset.diff s t)) land 1 = 0 then 1.0 else -1.0
-          in
-          acc +. (sign *. g.b.(t)))
-        0.0)
-
 let variance g ~y =
   let n = n_rels g in
   if Array.length y <> Subset.count n then

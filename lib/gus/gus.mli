@@ -87,9 +87,6 @@ val c_coefficients : t -> float array
 (** [c.(S) = Σ_{T ⊆ S} (−1)^{|S|−|T|} · b.(T)] for every subset [S],
     computed with a signed fast Möbius transform in O(n·2ⁿ). *)
 
-val c_naive : t -> float array
-(** O(3ⁿ) direct summation — kept as an oracle for tests. *)
-
 val variance : t -> y:float array -> float
 (** [Σ_S (c_S / a²)·y_S − y_∅] given the data moments [y] indexed by
     subset mask.  This is the exact (non-asymptotic) variance of the

@@ -392,7 +392,10 @@ let live_mask t =
           !m)
         0 terms
   | Dense g ->
-      (* Mirror {!Gus_analysis.Cost}'s bitwise b-equality scan. *)
+      (* Relation [i] is dead when b_{T ∪ {i}} = b_T on float bits for
+         every T: the fast Möbius transform then computes x −. x = 0.0 in
+         the dead dimension's pass and 0.0 −. 0.0 afterwards, so every
+         dead-touching coefficient is an exact zero. *)
       let n = Gus.n_rels g in
       let nmasks = Subset.count n in
       let dead = ref 0 in
@@ -433,7 +436,9 @@ let nonneg_monotone t =
 
 (* Restrict to the relations in [live], folding each dropped factor's
    (constant: lo = hi is required) value into the weight.  Exact precisely
-   because dropped factors are structurally dead. *)
+   because dropped factors are structurally dead.  A dense fallback keeps
+   the entries at the embedded masks: a dead bit never changes [b], so
+   they are the dense entries themselves. *)
 let project t live =
   let n = n_rels t in
   if Subset.diff live (Subset.full_wide n) <> 0 then
@@ -442,15 +447,24 @@ let project t live =
   else if not (Subset.subset (live_mask t) live) then
     incompatible "project: the dropped relations are not design-inert"
   else
+    let keep = Array.of_list (Subset.elements live) in
+    let rels' = Array.map (fun i -> t.rels.(i)) keep in
     match t.repr with
-    | Dense _ ->
-        (* Unused in practice (wide plans never carry a dense repr);
-           densifiable designs can be projected via the dense algebra. *)
-        incompatible "project: dense representation"
+    | Dense g ->
+        let embed s =
+          let m = ref 0 in
+          Array.iteri
+            (fun j i -> if s land (1 lsl j) <> 0 then m := !m lor (1 lsl i))
+            keep;
+          !m
+        in
+        let b =
+          Array.init (Subset.count (Array.length keep)) (fun s ->
+              Gus.b_get g (embed s))
+        in
+        of_gus (Gus.make ~rels:rels' ~a:t.a ~b)
     | Sop terms ->
-        let keep = Array.of_list (Subset.elements live) in
         let dead = Subset.elements (Subset.diff (Subset.full_wide n) live) in
-        let rels' = Array.map (fun i -> t.rels.(i)) keep in
         let terms' =
           List.map
             (fun tm ->

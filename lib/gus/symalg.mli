@@ -22,8 +22,8 @@
     multiplications the dense combinator applies to b-entries.  For
     product-form designs (joins/compacts of the Figure-1 samplers — no
     unions) a left-deep evaluation order makes every materialized entry
-    bit-identical to the dense fold's, which is what the linter's
-    byte-identity CI gate checks end to end. *)
+    bit-identical to the dense fold's, which the linter's dense-oracle
+    tests check end to end. *)
 
 type term = {
   w : float;  (** scalar weight; 1.0 for pure product designs *)
@@ -111,7 +111,8 @@ val nonneg_monotone : t -> bool
 
 val project : t -> int -> t
 (** [project t live] restricts to the relations in [live], folding each
-    dropped factor's constant value into the term weight.  Exact (and only
+    dropped factor's constant value into the term weight (a dense
+    fallback keeps its entries at the embedded masks).  Exact (and only
     allowed) when the dropped relations are structurally dead:
     [live_mask t ⊆ live], else raises {!Gus.Incompatible}.  The projected
     value materializes ({!to_gus}) over the compressed [k]-relation

@@ -142,16 +142,18 @@ let leave t ticket =
    sum_i C_i * q_i sampled tuples.  Under overload f we grant this
    execution a budget of (cost / f) and re-split it across the sampled
    relations with the paper's variance-minimizing grid search, seeded
-   with the previous execution's Y-hat moments.  Without moments (first
-   execution of a handle), or past the 3-stream exhaustive-search limit,
-   fall back to the proportional split — still SOA-sound, just not
-   variance-optimal. *)
+   with the previous execution's Y-hat moments.  Those span the previous
+   report's design — the plan's live relations — so the candidate
+   designs are built over exactly those relations.  Without moments
+   (first execution of a handle), or past the 3-stream exhaustive-search
+   limit, fall back to the proportional split — still SOA-sound, just
+   not variance-optimal. *)
 
 module Shedding = Gus_online.Shedding
 
 let min_rate = 1e-6
 
-let shed_rates ~overload ~order ~card ~current ?y () =
+let shed_rates ~overload ~card ~current ?y () =
   if current = [] then [] (* nothing sampled: nothing to degrade *)
   else begin
     let arrivals = List.map (fun (rel, _) -> (rel, card rel)) current in
@@ -165,10 +167,10 @@ let shed_rates ~overload ~order ~card ~current ?y () =
     let k = List.length current in
     let rates =
       match y with
-      | Some y when k >= 1 && k <= 3 ->
+      | Some (rels, y) when k >= 1 && k <= 3 ->
           fst
             (Shedding.optimize_rates
-               ~gus_of:(Shedding.gus_of_rates order)
+               ~gus_of:(Shedding.gus_of_rates rels)
                ~y ~arrivals ~capacity ())
       | _ -> Shedding.proportional_rates ~arrivals ~capacity
     in

@@ -69,10 +69,9 @@ val p99_ms : t -> float option
 
 val shed_rates :
   overload:float ->
-  order:string list ->
   card:(string -> int) ->
   current:(string * float) list ->
-  ?y:float array ->
+  ?y:string list * float array ->
   unit ->
   (string * float) list
 (** Section-8 rate selection for one shed execution.  [current] is the
@@ -81,10 +80,11 @@ val shed_rates :
     [Σ cardᵢ·qᵢ] is divided by [overload] to get this execution's
     budget, then split across the relations by
     {!Gus_online.Shedding.optimize_rates} (variance-minimizing, using
-    the [y] moments from the handle's previous execution) — or
+    the [y = (rels, ŷ)] moments from the handle's previous execution,
+    indexed by subset masks over [rels] — its report's design, which
+    spans the plan's live relations in lineage order) — or
     {!Gus_online.Shedding.proportional_rates} when no moments are
-    available yet or more than 3 relations are sampled.  [order] is the
-    full plan relation list (fixes the GUS lineage dimension order).
+    available yet or more than 3 relations are sampled.
     Rates are clamped to [[1e-6, 1]] — shedding degrades, never
     destroys.  Returns [[]] when the plan samples nothing (exact plans
     cannot shed). *)

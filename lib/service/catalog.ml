@@ -17,7 +17,7 @@ let source_to_string = function
   | In_memory what -> Printf.sprintf "memory(%s)" what
 
 (* Machine-readable source rendering, field-compatible with the serving
-   protocol's [register] request (Protocol.source_of_request parses it
+   protocol's [register] request (Wire.source_of_request parses it
    back) — what the journal stores so `gusdb replay` can rebuild the
    dataset.  [In_memory] has no build recipe; replay rejects it unless
    the dataset is already present. *)

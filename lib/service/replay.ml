@@ -151,7 +151,9 @@ let replay_register engine ~line j acc =
                 register it on the replay engine first"
                line dataset)
       | _ -> ());
-      ignore (Engine.register engine ~name:dataset ~source:(Protocol.source_of_request source));
+      ignore
+        (Engine.register engine ~name:dataset
+           ~source:(Wire.source_of_request source));
       { acc with rp_registers = acc.rp_registers + 1 }
 
 let replay_line engine handles ~line raw acc =

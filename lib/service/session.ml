@@ -2,7 +2,7 @@
    stack.  A session owns a connection-scoped prepared-handle namespace
    (two clients can both call their query "q1" without trampling each
    other) on top of a shared Engine, and dispatches parsed NDJSON
-   requests to it.  Transports stay thin: Protocol's stdin/stdout loop
+   requests to it.  Transports stay thin: the stdin/stdout loop ([run])
    drives one session, Server's TCP loop drives one per connection.
 
    NOT thread-safe by itself: the engine underneath is driving-thread
@@ -51,7 +51,7 @@ type t = {
   admission : Admission.t option;
   id : int;
   prepared : (string, Prepared.t) Hashtbl.t;
-  last_y : (string, float array) Hashtbl.t;
+  last_y : (string, string list * float array) Hashtbl.t;
       (* per handle: Ŷ moments of the last un-cached execution, the
          seed for variance-minimizing shed-rate selection *)
   mutable next_handle : int;
@@ -208,8 +208,7 @@ let shed_item t ~decision ~handle p (ov : Prepared.overrides) =
       let plan = (Prepared.handle p).Runner.pr_plan in
       let current = Prepared.sampling_rates ~card plan in
       let rates =
-        Admission.shed_rates ~overload ~order:(Splan.relations plan) ~card
-          ~current
+        Admission.shed_rates ~overload ~card ~current
           ?y:(Hashtbl.find_opt t.last_y handle)
           ()
       in
@@ -230,9 +229,14 @@ let shed_item t ~decision ~handle p (ov : Prepared.overrides) =
                      shed_rates = rates }));
           ({ ov with Prepared.rates }, Some (rates, overload)))
 
+(* Ŷ is indexed over the report's design — the plan's live relations —
+   so keep those relations with it. *)
 let note_y t ~handle (o : Engine.outcome) =
   match o.Engine.response.Runner.rs_report with
-  | Some r -> Hashtbl.replace t.last_y handle r.Gus_estimator.Sbox.y_hat
+  | Some r ->
+      Hashtbl.replace t.last_y handle
+        ( Array.to_list r.Gus_estimator.Sbox.gus.Gus_core.Gus.rels,
+          r.Gus_estimator.Sbox.y_hat )
   | None -> ()
 
 let op_execute t ~decision j =

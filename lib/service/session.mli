@@ -4,7 +4,7 @@
     A session scopes prepared handles to one client connection — two
     clients can both name a query ["q1"] — on top of a shared
     {!Engine}, and dispatches the NDJSON operations ({!Wire} renders
-    them).  Transports are thin: {!Protocol} drives one session over
+    them).  Transports are thin: {!run} drives one session over
     stdin/stdout, {!Server} one per TCP connection.
 
     {b Threading.}  The engine is driving-thread-only, so concurrent

@@ -3,7 +3,7 @@
 
    This is the transport- and session-independent bottom of the stack:
    Session (dispatch, per-connection state) and the transports
-   (Protocol's stdin/stdout loop, Server's TCP accept loop) both sit on
+   (Session.run's stdin/stdout loop, Server's TCP accept loop) both sit on
    top of it, and the CLI's --json error rendering (Cli_common) shares
    error_of_exn so one failure maps to one code everywhere. *)
 

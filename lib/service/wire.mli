@@ -2,7 +2,7 @@
     registry, request-field accessors, and response renderings.
 
     Transport- and session-independent: {!Session} (dispatch and
-    per-connection state) and both transports — {!Protocol}'s
+    per-connection state) and both transports — {!Session.run}'s
     stdin/stdout loop and {!Server}'s TCP accept loop — sit on top of
     this module, and the CLI shares {!error_of_exn} so one failure maps
     to one code everywhere. *)

@@ -105,9 +105,9 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let lint_one ?config ?engine db sql =
-  match Gus_sql.Runner.lint ?config ?engine db sql with
-  | _, report -> Linted report
+let lint_one ?config db sql =
+  match Gus_sql.Runner.prepare ?lint_config:config db sql with
+  | p -> Linted p.Gus_sql.Runner.pr_lint
   | exception Gus_sql.Parser.Error msg -> Unparsable msg
   | exception Gus_sql.Planner.Error msg -> Unparsable msg
   | exception Gus_sql.Lexer.Error { message; _ } ->
@@ -115,7 +115,7 @@ let lint_one ?config ?engine db sql =
   | exception Gus_relational.Database.Unknown_relation r ->
       Unparsable ("unknown relation " ^ r)
 
-let run ?config ?engine db dir =
+let run ?config db dir =
   let files = sql_files dir in
   let entries =
     List.concat_map
@@ -133,7 +133,7 @@ let run ?config ?engine db dir =
             { file = rel;
               query_index = i;
               sql;
-              outcome = lint_one ?config ?engine db sql })
+              outcome = lint_one ?config db sql })
           (split_statements (read_file file)))
       files
   in

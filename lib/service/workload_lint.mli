@@ -27,14 +27,12 @@ type report = {
 
 val run :
   ?config:Gus_analysis.Lint.config ->
-  ?engine:Gus_analysis.Lint.coeff_engine ->
   Gus_relational.Database.t ->
   string ->
   report
 (** [run db dir] lints every statement of every [*.sql] file under
-    [dir] against [db]'s cardinalities.  [engine] selects the coefficient
-    engine (default [`Symbolic]; [`Dense] is the legacy byte-comparison
-    baseline).  Raises [Sys_error] if [dir] does not exist. *)
+    [dir] against [db]'s cardinalities.  Raises [Sys_error] if [dir]
+    does not exist. *)
 
 val errors : report -> int
 (** Total error-severity findings across the workload. *)

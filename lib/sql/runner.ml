@@ -48,21 +48,21 @@ let cell_of_report ~label ?quantile (estimate, stddev) =
 (* Besides the cell, return the Sbox report backing it (None for AVG,
    whose ratio report has no Theorem-1 decomposition) so callers can
    surface variance provenance without a second moments pass. *)
-let eval_item_report ?skip_mask ~gus sample item =
+let eval_item_report ~gus sample item =
   let label = label_of item in
   let rec go ?quantile agg =
     match agg with
     | Ast.Sum e ->
-        let r = Sbox.of_relation ?skip_mask ~gus ~f:e sample in
+        let r = Sbox.of_relation ~gus ~f:e sample in
         (cell_of_report ~label ?quantile (r.Sbox.estimate, r.Sbox.stddev), Some r)
     | Ast.Count_star ->
-        let r = Sbox.of_relation ?skip_mask ~gus ~f:one sample in
+        let r = Sbox.of_relation ~gus ~f:one sample in
         (cell_of_report ~label ?quantile (r.Sbox.estimate, r.Sbox.stddev), Some r)
     | Ast.Count e ->
         (* COUNT(e) counts non-null rows: e*0 + 1 is 1 when e is a number
            and Null (→ 0 under SUM) when e is Null. *)
         let indicator = Expr.(Bin (Add, Bin (Mul, e, Expr.float 0.0), Expr.float 1.0)) in
-        let r = Sbox.of_relation ?skip_mask ~gus ~f:indicator sample in
+        let r = Sbox.of_relation ~gus ~f:indicator sample in
         (cell_of_report ~label ?quantile (r.Sbox.estimate, r.Sbox.stddev), Some r)
     | Ast.Avg e ->
         let r = Sbox.avg ~gus ~f:e sample in
@@ -73,8 +73,7 @@ let eval_item_report ?skip_mask ~gus sample item =
   in
   go item.Ast.agg
 
-let eval_item ?skip_mask ~gus sample item =
-  fst (eval_item_report ?skip_mask ~gus sample item)
+let eval_item ~gus sample item = fst (eval_item_report ~gus sample item)
 
 (* Partition a relation into per-group sub-relations by rendered key
    values, preserving first-seen group order. *)
@@ -101,20 +100,28 @@ let partition_groups keys rel =
     rel;
   List.rev_map (fun k -> (k, Hashtbl.find groups k)) !order
 
+(* The plan's live design.  Executions of one prepared plan may run on
+   several domains at once (a pooled batch), and forcing one lazy value
+   concurrently raises [Lazy.Undefined]: the force is serialized. *)
+let force_lock = Mutex.create ()
+
+let live_design (a : Gus_analysis.Lint.analysis) =
+  Mutex.protect force_lock (fun () -> Lazy.force a.Gus_analysis.Lint.live)
+
 (* ---- the materializing evaluation core --------------------------------- *)
 
 (* Execute the plan and evaluate every SELECT item over the materialized
-   sample.  [gus] is the plan's SOA analysis, computed by the caller
-   (prepare-time artifact: it depends only on the plan and base
+   sample.  [gus] is the plan's live-relation design, computed by the
+   caller (prepare-time artifact: it depends only on the plan and base
    cardinalities, never on tuple data). *)
-let eval_query ?skip_mask ~gus ~seed db query plan =
+let eval_query ~gus ~seed db query plan =
   let rng = Gus_util.Rng.create seed in
   let sample = Splan.exec db rng plan in
   let cells, groups, report =
     match query.Ast.group_by with
     | [] ->
         let pairs =
-          List.map (eval_item_report ?skip_mask ~gus sample) query.Ast.items
+          List.map (eval_item_report ~gus sample) query.Ast.items
         in
         let report = match pairs with (_, r) :: _ -> r | [] -> None in
         (List.map fst pairs, [], report)
@@ -123,8 +130,7 @@ let eval_query ?skip_mask ~gus ~seed db query plan =
           List.map
             (fun (k, sub) ->
               { keys = k;
-                group_cells =
-                  List.map (eval_item ?skip_mask ~gus sub) query.Ast.items })
+                group_cells = List.map (eval_item ~gus sub) query.Ast.items })
             (partition_groups keys sample)
         in
         ([], per_group, None)
@@ -161,12 +167,12 @@ let rec agg_expr = function
    Same seed ⇒ bit-identical estimate / n_sample_tuples to [eval_query]
    (the moment sums — hence stddev — can differ in final bits from
    reduction order; see Sbox.of_plan). *)
-let stream_result ?pool ?skip_mask ~gus ~seed db query plan =
+let stream_result ?pool ~gus ~seed db query plan =
   match query.Ast.items with
   | [ item ] when query.Ast.group_by = [] && streamable_item item ->
       let rng = Gus_util.Rng.create seed in
       let f = agg_expr item.Ast.agg in
-      let r = Sbox.of_plan ?pool ?skip_mask ~gus ~f db rng plan in
+      let r = Sbox.of_plan ?pool ~gus ~f db rng plan in
       let cell =
         cell_of_report ~label:(label_of item)
           ?quantile:(item_quantile item.Ast.agg)
@@ -202,41 +208,46 @@ type explain = {
   ex_report : Sbox.report option;
 }
 
-(* Map a subtree's relation set into a subset mask over [gus.rels]. *)
-let subtree_mask ~gus plan path =
+(* Theorem 1 says Var = sum_S (c_S/a^2) y_S - y_0 over the report's
+   design; this is the term of a plan subtree's relation subset S.  A
+   relation the live projection dropped makes every coefficient touching
+   it an exact zero, so such a subtree's term is 0.0.  [c] is the
+   report's coefficient table. *)
+let subtree_term (r : Sbox.report) ~c plan path =
   match Splan.subtree plan path with
   | None -> None
   | Some sub -> (
       try
+        let gus = r.Sbox.gus in
         let rels = gus.Gus_core.Gus.rels in
-        let mask = ref 0 in
+        let mask = ref 0 and dropped = ref false in
         Array.iter
-          (fun r ->
+          (fun rel ->
             let rec idx i =
-              if i >= Array.length rels then raise Exit
-              else if String.equal rels.(i) r then i
+              if i >= Array.length rels then dropped := true
+              else if String.equal rels.(i) rel then mask := !mask lor (1 lsl i)
               else idx (i + 1)
             in
-            mask := !mask lor (1 lsl idx 0))
+            idx 0)
           (Splan.lineage_schema sub);
-        Some !mask
-      with Exit | Gus_relational.Lineage.Overlap _ -> None)
+        let a2 = gus.Gus_core.Gus.a *. gus.Gus_core.Gus.a in
+        Some
+          (if !dropped then 0.0 else c.(!mask) /. a2 *. r.Sbox.y_hat.(!mask))
+      with Gus_relational.Lineage.Overlap _ -> None)
 
 let explain_of ~(analysis : Gus_analysis.Lint.analysis) ~seed db query plan =
-  let gus = (Lazy.force analysis.Gus_analysis.Lint.gus) in
-  let skip_mask = analysis.Gus_analysis.Lint.cost.Gus_analysis.Cost.skip_mask in
+  let gus = live_design analysis in
   let rng = Gus_util.Rng.create seed in
   let sample, profiles = Splan.exec_profiled db rng plan in
   let cells, groups =
     match query.Ast.group_by with
-    | [] -> (List.map (eval_item ~skip_mask ~gus sample) query.Ast.items, [])
+    | [] -> (List.map (eval_item ~gus sample) query.Ast.items, [])
     | keys ->
         let per_group =
           List.map
             (fun (k, sub) ->
               { keys = k;
-                group_cells =
-                  List.map (eval_item ~skip_mask ~gus sub) query.Ast.items })
+                group_cells = List.map (eval_item ~gus sub) query.Ast.items })
             (partition_groups keys sample)
         in
         ([], per_group)
@@ -250,15 +261,14 @@ let explain_of ~(analysis : Gus_analysis.Lint.analysis) ~seed db query plan =
   let sampler_gus path =
     List.assoc_opt path analysis.Gus_analysis.Lint.sampler_gus
   in
-  (* Variance decomposition of the first aggregate: Theorem 1 says
-     Var = sum_S (c_S/a^2) y_S - y_0; each sampling node is annotated with
-     the term of its subtree's relation subset (the -y_0 belongs to the
-     empty subset, which no Sample node owns). *)
+  (* Variance decomposition of the first aggregate: each sampling node is
+     annotated with the Theorem-1 term of its subtree's relation subset
+     (the -y_0 belongs to the empty subset, which no Sample node owns). *)
   let report =
     match query.Ast.items with
     | [] -> None
     | item :: _ -> (
-        try Some (Sbox.of_relation ~skip_mask ~gus ~f:(agg_expr item.Ast.agg) sample)
+        try Some (Sbox.of_relation ~gus ~f:(agg_expr item.Ast.agg) sample)
         with _ -> None)
   in
   let contrib_of =
@@ -266,11 +276,7 @@ let explain_of ~(analysis : Gus_analysis.Lint.analysis) ~seed db query plan =
     | None -> fun _ -> None
     | Some r ->
         let c = Gus_core.Gus.c_coefficients gus in
-        let a2 = gus.Gus_core.Gus.a *. gus.Gus_core.Gus.a in
-        fun path ->
-          Option.map
-            (fun mask -> c.(mask) /. a2 *. r.Sbox.y_hat.(mask))
-            (subtree_mask ~gus plan path)
+        fun path -> subtree_term r ~c plan path
   in
   let nodes =
     List.map
@@ -368,18 +374,15 @@ type prepared = {
   pr_lint : Gus_analysis.Lint.report;
 }
 
-let prepare ?lint_config ?engine db sql =
+let prepare ?lint_config db sql =
   let query = Parser.parse sql in
   (* Self-joins are let through the planner so the linter reports them as
      GUS001 alongside everything else, instead of a planner fast-fail. *)
   let { Planner.plan; _ } = Planner.compile ~self_join_check:false db query in
-  let report = Gus_analysis.Lint.run_db ?config:lint_config ?engine db plan in
+  let report = Gus_analysis.Lint.run_db ?config:lint_config db plan in
   { pr_sql = sql; pr_query = query; pr_plan = plan; pr_lint = report }
 
 let prepared_errors p = Gus_analysis.Lint.errors p.pr_lint
-
-let prepared_gus p =
-  Option.map (fun a -> (Lazy.force a.Gus_analysis.Lint.gus)) p.pr_lint.Gus_analysis.Lint.analysis
 
 type response = {
   rs_result : result;
@@ -395,15 +398,14 @@ let execute db (p : prepared) (params : params) =
   let query = p.pr_query and plan = p.pr_plan in
   (* Reject before executing: a plan outside the GUS theory fails with
      every diagnostic code at once, before any sampling work runs.  All
-     static facts (GUS, per-sampler translations, skip-mask) come from the
-     prepare-time analysis — execution never re-lints. *)
+     static facts (the live design, per-sampler translations) come from
+     the prepare-time analysis — execution never re-lints. *)
   let analysis =
     match p.pr_lint.Gus_analysis.Lint.analysis with
     | Some a -> a
     | None -> raise (Rewrite.Unsupported (Rewrite.render_errors (prepared_errors p)))
   in
-  let gus = (Lazy.force analysis.Gus_analysis.Lint.gus) in
-  let skip_mask = analysis.Gus_analysis.Lint.cost.Gus_analysis.Cost.skip_mask in
+  let gus = live_design analysis in
   let ex, result, report, streamed =
     if params.explain then
       let ex = explain_of ~analysis ~seed:params.seed db query plan in
@@ -411,13 +413,12 @@ let execute db (p : prepared) (params : params) =
     else
       match
         (if params.streaming then
-           stream_result ?pool:params.pool ~skip_mask ~gus ~seed:params.seed db
-             query plan
+           stream_result ?pool:params.pool ~gus ~seed:params.seed db query plan
          else None)
       with
       | Some (r, rep) -> (None, r, Some rep, true)
       | None ->
-          let r, rep = eval_query ~skip_mask ~gus ~seed:params.seed db query plan in
+          let r, rep = eval_query ~gus ~seed:params.seed db query plan in
           (None, r, rep, false)
   in
   let exact_cells, exact_groups =
@@ -441,13 +442,11 @@ let execute db (p : prepared) (params : params) =
     rs_report = report }
 
 (* The plan node with the largest Theorem-1 variance share for this
-   response's first aggregate: walk every Sample node, map its subtree's
-   relation set into a coefficient-table mask (as --explain-analyze
-   does) and take the largest [(c_S/a²)·ŷ_S] as a fraction of the raw
-   variance.  Best-effort: [None] when no report was captured (AVG,
-   GROUP BY), when the report's GUS is a live-relation view whose mask
-   space doesn't match the full coefficient table (wide symbolic runs),
-   or when the plan is too wide to densify cheaply. *)
+   response's first aggregate: walk every Sample node, take its subtree's
+   term (as --explain-analyze does) and the largest [(c_S/a²)·ŷ_S] as a
+   fraction of the raw variance.  Best-effort: [None] when no report was
+   captured (AVG, GROUP BY), or past 16 live relations where the
+   coefficient table stops being cheap. *)
 let top_variance_share (rs : response) =
   match rs.rs_report with
   | None -> None
@@ -459,58 +458,39 @@ let top_variance_share (rs : response) =
       else
         try
           let c = Gus_core.Gus.c_coefficients gus in
-          if Array.length r.Sbox.y_hat <> Array.length c then None
-          else begin
-            let a2 = gus.Gus_core.Gus.a *. gus.Gus_core.Gus.a in
-            let best = ref None in
-            let rec walk path node =
-              (match node with
-              | Splan.Sample _ -> (
-                  match subtree_mask ~gus plan path with
-                  | Some mask ->
-                      let contrib = c.(mask) /. a2 *. r.Sbox.y_hat.(mask) in
-                      let better =
-                        match !best with
-                        | Some (_, _, b) -> contrib > b
-                        | None -> true
-                      in
-                      if better then
-                        best := Some (path, Splan.node_label node, contrib)
-                  | None -> ())
-              | _ -> ());
-              List.iteri
-                (fun i child -> walk (path @ [ i ]) child)
-                (Splan.children node)
-            in
-            walk [] plan;
-            match !best with
-            | None -> None
-            | Some (path, label, contrib) ->
-                let total = r.Sbox.variance_raw in
-                let share =
-                  if total > 0. && Float.is_finite total then contrib /. total
-                  else 0.
-                in
-                Some (path, label, share)
-          end
+          let best = ref None in
+          let rec walk path node =
+            (match node with
+            | Splan.Sample _ -> (
+                match subtree_term r ~c plan path with
+                | Some contrib ->
+                    let better =
+                      match !best with
+                      | Some (_, _, b) -> contrib > b
+                      | None -> true
+                    in
+                    if better then
+                      best := Some (path, Splan.node_label node, contrib)
+                | None -> ())
+            | _ -> ());
+            List.iteri
+              (fun i child -> walk (path @ [ i ]) child)
+              (Splan.children node)
+          in
+          walk [] plan;
+          match !best with
+          | None -> None
+          | Some (path, label, contrib) ->
+              let total = r.Sbox.variance_raw in
+              let share =
+                if total > 0. && Float.is_finite total then contrib /. total
+                else 0.
+              in
+              Some (path, label, share)
         with _ -> None)
 
 let run_request db (rq : request) =
   execute db (prepare ~lint_config:rq.lint_config db rq.sql) rq.params
-
-(* ---- deprecated thin wrappers ------------------------------------------ *)
-
-let lint ?config ?engine db sql =
-  let p = prepare ?lint_config:config ?engine db sql in
-  (p.pr_plan, p.pr_lint)
-
-let run ?(seed = 42) db sql =
-  (run_request db (request ~seed sql)).rs_result
-
-let run_explained ?(seed = 42) db sql =
-  match (run_request db (request ~seed ~explain:true sql)).rs_explain with
-  | Some ex -> ex
-  | None -> assert false (* explain:true always populates rs_explain *)
 
 let pp_cell ppf c =
   Format.fprintf ppf

@@ -23,6 +23,8 @@ type result = {
           every contributing tuple was dropped by sampling are absent. *)
   n_sample_tuples : int;
   gus : Gus_core.Gus.t;
+      (** the design the estimates ran on: the plan's GUS projected onto
+          its live relations ({!Gus_analysis.Lint.analysis.live}) *)
   plan : Gus_core.Splan.t;
 }
 
@@ -56,10 +58,8 @@ type explain = {
 
     {!prepare} runs parse → plan → lint exactly once per SQL text and
     returns a reusable {!prepared} handle; {!execute} runs it any number
-    of times with per-call {!params}.  The historical optional-argument
-    entry points ({!run}, {!run_explained}, {!lint}) survive as thin
-    wrappers over this API.  [Gus_service.Prepared] consumes it
-    directly. *)
+    of times with per-call {!params}; {!run_request} does both in one
+    shot.  [Gus_service.Prepared] consumes it directly. *)
 
 type params = {
   seed : int;  (** RNG seed for the sampling run (default 42) *)
@@ -108,21 +108,16 @@ type prepared = {
 
 val prepare :
   ?lint_config:Gus_analysis.Lint.config ->
-  ?engine:Gus_analysis.Lint.coeff_engine ->
   Gus_relational.Database.t ->
   string ->
   prepared
-(** Parse → plan → lint, without executing anything.  [engine] selects
-    the linter's coefficient engine (default [`Symbolic]).  Self-joins are let
+(** Parse → plan → lint, without executing anything.  Self-joins are let
     through the planner so the linter reports them (GUS001) together with
     every other problem.  Raises [Parser.Error] / [Planner.Error] /
     [Lexer.Error] on malformed text; lint findings (including errors) are
     returned in [pr_lint], not raised — {!execute} raises on them. *)
 
 val prepared_errors : prepared -> Gus_analysis.Diagnostic.t list
-val prepared_gus : prepared -> Gus_core.Gus.t option
-(** The plan's single equivalent top GUS; [None] iff the lint found
-    errors. *)
 
 type response = {
   rs_result : result;
@@ -142,9 +137,12 @@ type response = {
 }
 
 val execute : Gus_relational.Database.t -> prepared -> params -> response
-(** Execute a prepared query.  Raises [Rewrite.Unsupported] (listing every
-    [GUSxxx] error at once) when the prepared plan is outside the GUS
-    theory — {e before} any sampling work runs.  Deterministic in
+(** Execute a prepared query.  Every path — streamed, materializing and
+    EXPLAIN — estimates on the plan's live design, whatever the plan's
+    width.  Raises [Rewrite.Unsupported] (listing every [GUSxxx] error at
+    once) when the prepared plan is outside the GUS theory, or when its
+    live relations alone exceed {!Gus_util.Subset.max_universe} — {e
+    before} any sampling work runs.  Deterministic in
     [(prepared, params.seed)]: repeated calls return bit-identical
     responses. *)
 
@@ -154,42 +152,11 @@ val run_request : Gus_relational.Database.t -> request -> response
 val top_variance_share : response -> (int list * string * float) option
 (** The Sample node whose Theorem-1 term [(c_S/a²)·ŷ_S] dominates the
     first aggregate's variance: [(path, label, share)] with [share] the
-    term's fraction of the raw variance.  Best-effort — [None] when the
-    response carries no report ({!response.rs_report}), when the
-    report's GUS is a live-relation view (wide symbolic plans), or past
-    16 relations where densifying the coefficient table stops being
-    cheap.  The serving journal records this per execution. *)
-
-(** {1 Deprecated one-shot wrappers}
-
-    Thin veneers over {!run_request}, kept so existing callers compile.
-    New code should use {!prepare} / {!execute}. *)
-
-val lint :
-  ?config:Gus_analysis.Lint.config ->
-  ?engine:Gus_analysis.Lint.coeff_engine ->
-  Gus_relational.Database.t ->
-  string ->
-  Gus_core.Splan.t * Gus_analysis.Lint.report
-(** @deprecated Use {!prepare} and read [pr_plan] / [pr_lint].  Parse and
-    plan the query (allowing self-joins through so they can be reported),
-    then run the static SOA-soundness linter over the plan — without
-    executing it.  Raises [Parser.Error] / [Planner.Error] on malformed
-    input; never executes the plan or touches tuple data. *)
-
-val run : ?seed:int -> Gus_relational.Database.t -> string -> result
-(** @deprecated Use {!run_request} (or {!prepare} + {!execute} for
-    repeated execution).  Raises [Parser.Error] / [Planner.Error] /
-    [Rewrite.Unsupported] on bad input.  The SOA analysis runs {e before}
-    execution, so an unsupported plan is rejected with every [GUSxxx]
-    diagnostic at once and no sampling work is wasted. *)
-
-val run_explained : ?seed:int -> Gus_relational.Database.t -> string -> explain
-(** @deprecated Use {!run_request} with [explain = true].  {!run} under
-    {!Gus_core.Splan.exec_profiled}: same parse → analyze → execute →
-    estimate pipeline, same sample for the same seed, plus per-node wall
-    times, row counts, sampling rates and variance contributions for
-    [--explain-analyze]. *)
+    term's fraction of the raw variance.  A subtree holding a relation
+    without sampling randomness has a zero term.  Best-effort — [None]
+    when the response carries no report ({!response.rs_report}), or past
+    16 live relations where the coefficient table stops being cheap.
+    The serving journal records this per execution. *)
 
 val run_exact : Gus_relational.Database.t -> string -> (string * float) list
 (** Ground truth for each SELECT item, ignoring all TABLESAMPLE clauses

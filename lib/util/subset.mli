@@ -15,7 +15,7 @@ val max_universe : int
 val max_mask_bits : int
 (** Largest universe whose subsets are representable as int bitmasks at all
     (62: OCaml native ints hold 62 usable value bits).  Mask-only machinery
-    — the symbolic coefficient algebra, skip masks — works up to this
+    — the symbolic coefficient algebra, live masks — works up to this
     width; anything materializing [2^n] arrays is capped at
     {!max_universe} instead. *)
 

@@ -6,8 +6,10 @@
       monotonicity.
    2. Dataflow facts pinned on small plans, and totality on plans the
       linter rejects.
-   3. The static cost model: pass counts, verified skip-mask, the
-      Theorem-1 worst-case variance bound against a direct computation.
+   3. The static cost model: pass counts, the dead-relation set (every
+      coefficient touching it bit-zero, on product forms and on the dense
+      fallback), the Theorem-1 worst-case variance bound against a direct
+      computation.
    4. Fix application: shape-directed rewrites, deepest-first batches,
       and the QCheck GUS-equivalence property — every applied fix
       preserves the sample-free skeleton and the effective inclusion
@@ -15,6 +17,7 @@
       (E[estimate] = exact total over the skeleton for SUM/COUNT). *)
 
 module Gus = Gus_core.Gus
+module Symalg = Gus_core.Symalg
 module Splan = Gus_core.Splan
 module Subset = Gus_util.Subset
 module Lint = Gus_analysis.Lint
@@ -244,7 +247,7 @@ let test_cost_half_sampled_join () =
   check_int "n_rels" 2 c.Cost.n_rels;
   check_int "passes 2^2-1" 3 c.Cost.passes;
   check_int "skipped: both masks touching s" 2 c.Cost.skipped;
-  check_int "skip_mask = bit of s" 2 c.Cost.skip_mask;
+  check_int "dead = bit of s" 2 c.Cost.dead;
   check_bool "est_groups >= 1" true (c.Cost.est_groups >= 1.0);
   close "predicted = live passes x groups"
     ((float_of_int (c.Cost.passes - c.Cost.skipped)) *. c.Cost.est_groups)
@@ -260,29 +263,47 @@ let test_cost_half_sampled_join () =
   close "variance bound" direct c.Cost.variance_bound;
   close "bernoulli bound 1/p - 1" 9.0 c.Cost.variance_bound
 
-let test_cost_skip_mask_verified () =
-  (* skip_mask is a pure function of the GUS and only ever says "skip"
-     when the coefficients really are exactly 0.0 *)
-  let check_gus gus =
-    let mask = Cost.skip_mask gus in
-    let coeffs = Gus.c_coefficients gus in
+let test_cost_dead_bit_zero () =
+  (* Every coefficient touching a relation outside Symalg.live_mask is an
+     exact 0.0 — what lets the estimator run only the live relations'
+     passes — and the structural mask is the dense oracle's verified
+     scan. *)
+  let check_design what sym =
+    let live = Symalg.live_mask sym in
+    let dead = Subset.diff (Subset.full (Symalg.n_rels sym)) live in
+    let g = Symalg.to_gus sym in
+    let c = Gus.c_coefficients g in
     Array.iteri
-      (fun s cs -> if s land mask <> 0 then close "masked c is 0" 0.0 cs)
-      coeffs
+      (fun s cs ->
+        if s land dead <> 0 && not (Int64.equal (Int64.bits_of_float cs) 0L)
+        then
+          Alcotest.failf "%s: c%s = %h is not 0.0" what (Gus.subset_name g s)
+            cs)
+      c;
+    check_int (what ^ ": dead = verified dense scan")
+      (Dense_oracle.verified_dead_mask g c) dead
   in
-  check_gus (Gus.bernoulli ~rel:"r" 0.1);
-  check_gus (Gus.identity [| "r" |]);
-  check_gus
-    (Gus.join (Gus.bernoulli ~rel:"r" 0.1) (Gus.identity [| "s" |]));
-  check_gus
-    (Gus.join (Gus.bernoulli ~rel:"r" 0.1) (Gus.bernoulli ~rel:"s" 0.25));
-  (* fully sampled: nothing to skip *)
-  check_int "no inert relation" 0
-    (Cost.skip_mask
-       (Gus.join (Gus.bernoulli ~rel:"r" 0.1) (Gus.bernoulli ~rel:"s" 0.25)));
-  (* identity design: every relation inert *)
-  check_int "identity fully inert" 3
-    (Cost.skip_mask (Gus.identity [| "r"; "s" |]))
+  let b rel p = Symalg.bernoulli ~rel p in
+  let id rel = Symalg.identity [| rel |] in
+  check_design "bernoulli" (b "r" 0.1);
+  check_design "identity" (id "r");
+  check_design "sampled x unsampled" (Symalg.join (b "r" 0.1) (id "s"));
+  check_design "both sampled" (Symalg.join (b "r" 0.1) (b "s" 0.25));
+  check_design "B(1) x sampled" (Symalg.join (b "r" 1.0) (b "s" 0.25));
+  (* the dense fallback: live_mask scans the materialized entries *)
+  let dense =
+    Symalg.of_gus
+      (Gus.join
+         (Gus.join (Gus.bernoulli ~rel:"r" 0.1) (Gus.identity [| "s" |]))
+         (Gus.wor ~rel:"t" ~n:5 ~out_of:50))
+  in
+  check_design "dense fallback" dense;
+  check_int "dense fallback: s dead" 0b101 (Symalg.live_mask dense);
+  (* fully sampled: nothing dead; identity design: everything dead *)
+  check_int "no dead relation" 0b11
+    (Symalg.live_mask (Symalg.join (b "r" 0.1) (b "s" 0.25)));
+  check_int "identity fully dead" 0
+    (Symalg.live_mask (Symalg.identity [| "r"; "s" |]))
 
 (* ---- Fix ---- *)
 
@@ -408,8 +429,8 @@ let () =
       ( "cost",
         [ Alcotest.test_case "half-sampled join" `Quick
             test_cost_half_sampled_join;
-          Alcotest.test_case "skip-mask verified" `Quick
-            test_cost_skip_mask_verified ] );
+          Alcotest.test_case "dead relations bit-zero" `Quick
+            test_cost_dead_bit_zero ] );
       ( "fix",
         [ Alcotest.test_case "apply shapes" `Quick test_fix_apply_shapes;
           Alcotest.test_case "apply_all deepest first" `Quick

@@ -11,6 +11,10 @@ module Sampler = Gus_sampling.Sampler
 module Runner = Gus_sql.Runner
 open Gus_relational
 
+(* One-shot execution: prepare + execute, the result only. *)
+let run_sql ?seed db sql =
+  (Runner.run_request db (Runner.request ?seed sql)).Runner.rs_result
+
 let check = Alcotest.check
 let check_bool = check Alcotest.bool
 let close ?(eps = 1e-9) what expected actual =
@@ -71,7 +75,7 @@ let test_query1_estimate_within_bounds () =
   let plan = Gus_experiments.Harness.query1_plan ~bernoulli:0.2 ~wor:800 () in
   let f = Gus_experiments.Harness.revenue_f in
   let truth = Sbox.exact db plan ~f in
-  let report, _ = Sbox.run ~seed:77 db plan ~f in
+  let report, _ = Sbox.stream ~seed:77 db plan ~f in
   let ci = Sbox.interval ~coverage:0.99 Interval.Chebyshev report in
   check_bool "99% Chebyshev contains truth" true (Interval.contains ci truth)
 
@@ -105,7 +109,7 @@ let test_sql_end_to_end_quantiles () =
      Count over 40 seeds. *)
   let hits = ref 0 in
   for seed = 1 to 40 do
-    let result = Runner.run ~seed db sql in
+    let result = run_sql ~seed db sql in
     match result.Runner.cells with
     | [ lo; hi ] ->
         if lo.Runner.value <= truth && truth <= hi.Runner.value then incr hits
@@ -172,7 +176,7 @@ let test_avg_via_sql_close_to_truth () =
      WHERE l_orderkey = o_orderkey"
   in
   let truth = snd (List.hd (Runner.run_exact db sql)) in
-  let result = Runner.run ~seed:8 db sql in
+  let result = run_sql ~seed:8 db sql in
   let cell = List.hd result.Runner.cells in
   check_bool "AVG within 4 sd" true
     (Float.abs (cell.Runner.value -. truth) <= 4.0 *. cell.Runner.stddev)
@@ -205,7 +209,7 @@ let test_failure_modes () =
        false
      with Database.Unknown_relation _ -> true);
   check_bool "bad SQL surfaces Parser.Error" true
-    (try ignore (Runner.run db "SELECT FROM"); false
+    (try ignore (run_sql db "SELECT FROM"); false
      with Gus_sql.Parser.Error _ -> true);
   (* empty sample: a 0-row sample still yields a finite report *)
   let gus = Gus.bernoulli ~rel:"lineitem" 0.5 in

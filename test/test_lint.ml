@@ -5,7 +5,11 @@
    2. A QCheck property over random plan trees (valid and invalid shapes
       mixed) asserting that the linter is total, that Rewrite.analyze
       raises Unsupported exactly when the linter reports an Error, and
-      that every diagnostic path resolves back into the plan. *)
+      that every diagnostic path resolves back into the plan.
+   3. Every statement of the example workload (examples/workload) lints
+      exactly as the test-side dense engine does over the materialized
+      design: root diagnostics, [a], pass counts and the variance bound,
+      bit for bit. *)
 
 module Gus = Gus_core.Gus
 module Splan = Gus_core.Splan
@@ -297,7 +301,7 @@ let test_zero_coefficients_gus016 () =
   | None -> Alcotest.fail "must be analyzable"
   | Some a ->
       let c = a.Lint.cost in
-      check_int "skip mask = bit of s" 2 c.Gus_analysis.Cost.skip_mask;
+      check_int "dead = bit of s" 2 c.Gus_analysis.Cost.dead;
       check_int "2 of 3 passes skipped" 2 c.Gus_analysis.Cost.skipped);
   (* Fully sampled: nothing is inert, no hint. *)
   let alive =
@@ -451,6 +455,26 @@ let lint_property =
   QCheck2.Test.make ~name:"lint total; Unsupported <-> >=1 Error" ~count:500
     plan_gen prop_lint_total_and_consistent
 
+(* ---- the symbolic engine against the dense oracle ---- *)
+
+let test_workload_matches_dense () =
+  let db = Gus_experiments.Harness.db_cached ~scale:0.01 in
+  let rep = Gus_service.Workload_lint.run db "../examples/workload" in
+  check_bool "workload found" true
+    (List.length rep.Gus_service.Workload_lint.entries >= 6);
+  List.iter
+    (fun (e : Gus_service.Workload_lint.entry) ->
+      let p = Gus_sql.Runner.prepare db e.Gus_service.Workload_lint.sql in
+      match
+        Dense_oracle.lint_mismatch p.Gus_sql.Runner.pr_plan
+          p.Gus_sql.Runner.pr_lint
+      with
+      | None -> ()
+      | Some what ->
+          Alcotest.failf "%s #%d: %s" e.Gus_service.Workload_lint.file
+            e.Gus_service.Workload_lint.query_index what)
+    rep.Gus_service.Workload_lint.entries
+
 let () =
   Alcotest.run "gus_analysis.lint"
     [ ( "registry",
@@ -485,4 +509,7 @@ let () =
           Alcotest.test_case "union lineage exception" `Quick test_union_lineage_mismatch_exception;
           Alcotest.test_case "summary / json / annotations" `Quick test_report_rendering ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest lint_property ] ) ]
+        [ QCheck_alcotest.to_alcotest lint_property ] );
+      ( "dense-oracle",
+        [ Alcotest.test_case "workload statements = dense engine" `Quick
+            test_workload_matches_dense ] ) ]

@@ -159,7 +159,7 @@ let prop_mobius_z_nonneg_sum =
       let total = z 0 +. z 1 +. z 2 +. z 3 in
       Float.abs (total -. y.(0)) <= 1e-6 *. Float.max 1.0 (Float.abs y.(0)))
 
-(* ---- optimized kernel vs the retained naive reference ----------------- *)
+(* ---- optimized kernel vs the test-side naive reference ---------------- *)
 
 (* Pools of size 1 (inline), 2 (always at least one worker domain), and the
    machine's recommended count.  par_threshold:0 forces the parallel path
@@ -196,7 +196,7 @@ let prop_kernel_matches_naive =
   QCheck2.Test.make ~name:"of_pairs kernel = naive (pool sizes 1/2/N)"
     ~count:200 kernel_gen (fun (n_rels, tri) ->
       let pairs = Array.map (fun (l, f, _) -> (l, f)) tri in
-      let reference = Moments.of_pairs_naive ~n_rels pairs in
+      let reference = Dense_oracle.moments ~n_rels pairs in
       List.for_all
         (fun pool ->
           let y = Moments.of_pairs ~pool ~par_threshold:0 ~n_rels pairs in
@@ -207,7 +207,7 @@ let prop_bilinear_kernel_matches_naive =
   QCheck2.Test.make
     ~name:"bilinear_of_pairs kernel = naive (pool sizes 1/2/N)" ~count:200
     kernel_gen (fun (n_rels, tri) ->
-      let reference = Moments.bilinear_of_pairs_naive ~n_rels tri in
+      let reference = Dense_oracle.bilinear_moments ~n_rels tri in
       List.for_all
         (fun pool ->
           let y = Moments.bilinear_of_pairs ~pool ~par_threshold:0 ~n_rels tri in
@@ -222,7 +222,7 @@ let test_kernel_large_parallel () =
     Array.init 6000 (fun _ ->
         (Array.init 3 (fun _ -> Gus_util.Rng.int rng 50), Gus_util.Rng.float rng))
   in
-  let reference = Moments.of_pairs_naive ~n_rels:3 pairs in
+  let reference = Dense_oracle.moments ~n_rels:3 pairs in
   List.iter
     (fun pool ->
       let y = Moments.of_pairs ~pool ~n_rels:3 pairs in
@@ -233,70 +233,61 @@ let test_kernel_large_parallel () =
         y)
     (Lazy.force pools)
 
-(* ---- skip-mask: skipped entries stay 0, live entries are bit-identical
-   to the dense run (same code path, same order — not merely close) ---- *)
+(* ---- views: a kernel over a subset of the lineage columns computes,
+   at every one of its masks, exactly the full kernel's entry at the
+   embedded mask (same code path, same order — not merely close) ---- *)
 
-let skip_gen =
+let view_gen =
   QCheck2.Gen.(
     kernel_gen >>= fun (n_rels, tri) ->
-    int_range 0 (Subset.full n_rels) >|= fun mask -> (n_rels, tri, mask))
+    int_range 0 (Subset.full n_rels) >|= fun live -> (n_rels, tri, live))
 
-let prop_skip_mask_bit_identical =
+let prop_view_bit_identical =
   QCheck2.Test.make
-    ~name:"of_pairs with skip_mask: live masks bit-identical, dead 0.0"
-    ~count:200 skip_gen (fun (n_rels, tri, skip_mask) ->
+    ~name:"view kernel = full kernel, bitwise"
+    ~count:200 view_gen (fun (n_rels, tri, live) ->
       let pairs = Array.map (fun (l, f, _) -> (l, f)) tri in
-      let dense = Moments.of_pairs ~n_rels pairs in
-      let skipped = Moments.of_pairs ~skip_mask ~n_rels pairs in
-      let bilinear_dense = Moments.bilinear_of_pairs ~n_rels tri in
-      let bilinear_skipped = Moments.bilinear_of_pairs ~skip_mask ~n_rels tri in
-      (* streaming accumulator under the same mask, vs a dense one — the
-         live-mask group tables run the identical code path *)
-      let acc = Moments.Acc.create ~skip_mask ~n_rels () in
-      let acc_dense = Moments.Acc.create ~n_rels () in
+      let view = Array.of_list (Subset.elements live) in
+      let k = Array.length view in
+      let lineage_width = n_rels in
+      let full = Moments.of_pairs ~n_rels pairs in
+      let viewed = Moments.of_pairs ~view ~lineage_width ~n_rels:k pairs in
+      let bilinear_full = Moments.bilinear_of_pairs ~n_rels tri in
+      let bilinear_viewed =
+        Moments.bilinear_of_pairs ~view ~lineage_width ~n_rels:k tri
+      in
+      (* the streaming accumulator's group tables run the same path *)
+      let acc = Moments.Acc.create ~view ~lineage_width ~n_rels:k () in
+      let acc_full = Moments.Acc.create ~n_rels () in
       Array.iter
         (fun (l, f) ->
           Moments.Acc.add acc l f;
-          Moments.Acc.add acc_dense l f)
+          Moments.Acc.add acc_full l f)
         pairs;
       let streamed = Moments.Acc.finalize acc in
-      let streamed_dense = Moments.Acc.finalize acc_dense in
-      let ok = ref (Moments.Acc.skip_mask acc = skip_mask) in
-      for s = 0 to Subset.full n_rels do
-        if s land skip_mask <> 0 then begin
-          if not (skipped.(s) = 0.0) then ok := false;
-          if not (streamed.(s) = 0.0) then ok := false;
-          if not (bilinear_skipped.(s) = 0.0) then ok := false
-        end
-        else begin
-          (* bit-exact comparison on purpose *)
-          if not (Int64.equal (Int64.bits_of_float skipped.(s))
-                    (Int64.bits_of_float dense.(s))) then ok := false;
-          if not (Int64.equal (Int64.bits_of_float streamed.(s))
-                    (Int64.bits_of_float streamed_dense.(s))) then ok := false;
-          if not (Int64.equal (Int64.bits_of_float bilinear_skipped.(s))
-                    (Int64.bits_of_float bilinear_dense.(s))) then ok := false
-        end
+      let streamed_full = Moments.Acc.finalize acc_full in
+      let same a b =
+        Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+      in
+      let embed s =
+        List.fold_left
+          (fun m j -> Subset.add m view.(j))
+          Subset.empty (Subset.elements s)
+      in
+      let ok = ref true in
+      for s = 0 to Subset.full k do
+        let e = embed s in
+        if not (same viewed.(s) full.(e)) then ok := false;
+        if not (same bilinear_viewed.(s) bilinear_full.(e)) then ok := false;
+        if not (same streamed.(s) streamed_full.(e)) then ok := false
       done;
       !ok)
-
-let test_skip_mask_validation () =
-  let pairs = [| ([| 0; 1 |], 1.0) |] in
-  (match Moments.of_pairs ~skip_mask:4 ~n_rels:2 pairs with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "mask outside the universe accepted");
-  (* merge requires agreeing masks *)
-  let a = Moments.Acc.create ~skip_mask:1 ~n_rels:2 () in
-  let b = Moments.Acc.create ~n_rels:2 () in
-  match Moments.Acc.merge a b with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "mask mismatch merge accepted"
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_matches_brute_force; prop_mobius_z_nonneg_sum;
       prop_kernel_matches_naive; prop_bilinear_kernel_matches_naive;
-      prop_skip_mask_bit_identical ]
+      prop_view_bit_identical ]
 
 let () =
   Alcotest.run "gus_estimator.moments"
@@ -307,8 +298,7 @@ let () =
           Alcotest.test_case "empty input" `Quick test_empty_input;
           Alcotest.test_case "zero relations" `Quick test_zero_rels;
           Alcotest.test_case "length mismatch" `Quick test_length_mismatch;
-          Alcotest.test_case "monotone along chains" `Quick test_monotone_in_subsets;
-          Alcotest.test_case "skip-mask validation" `Quick test_skip_mask_validation ] );
+          Alcotest.test_case "monotone along chains" `Quick test_monotone_in_subsets ] );
       ( "bilinear",
         [ Alcotest.test_case "f=g reduces to plain" `Quick test_bilinear_reduces_to_plain;
           Alcotest.test_case "hand-computed" `Quick test_bilinear_hand_computed;

@@ -121,7 +121,7 @@ let test_shedding_proportional () =
 let test_shedding_optimize_respects_budget () =
   let db = Lazy.force db in
   (* Moments from the real workload so optimization is meaningful. *)
-  let report, analysis = Sbox.run ~seed:3 db
+  let report, analysis = Sbox.stream ~seed:3 db
     (Splan.Sample (Sampler.Bernoulli 0.5, Splan.Scan "lineitem")) ~f:revenue in
   ignore analysis;
   let y = report.Sbox.y_hat in

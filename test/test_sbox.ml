@@ -1,8 +1,9 @@
-(* Tests for the SBox estimator: unbiasedness, the Y-hat correction,
-   variance quality, intervals, covariance/AVG, subsampled estimation, and
-   the WR baseline. *)
+(* Tests for the SBox estimator: unbiasedness, the Y-hat correction, the
+   live-relation projection, variance quality, intervals, covariance/AVG,
+   subsampled estimation, and the WR baseline. *)
 
 module Gus = Gus_core.Gus
+module Symalg = Gus_core.Symalg
 module Splan = Gus_core.Splan
 module Rewrite = Gus_analysis.Rewrite
 module Sbox = Gus_estimator.Sbox
@@ -269,45 +270,62 @@ let test_subsampled_target_bigger_than_sample () =
 let test_run_end_to_end () =
   let db = Lazy.force db_small in
   let plan = Splan.Sample (Sampler.Bernoulli 0.5, Splan.Scan "pop") in
-  let report, analysis = Sbox.run ~seed:5 db plan ~f:vcol in
+  let report, analysis = Sbox.stream ~seed:5 db plan ~f:vcol in
   check_bool "gus is Bernoulli" true
     (Gus.equal_approx (Lazy.force analysis.Rewrite.gus) (Gus.bernoulli ~rel:"pop" 0.5));
   check_bool "estimate positive" true (report.Sbox.estimate > 0.0)
 
-let test_skip_mask_matches_dense () =
-  (* Half-sampled join: "s" carries no randomness, so the static analyzer
-     kills every mask touching it.  The estimate is Σf/a either way
-     (bit-identical); at n = 2 even the variance sum visits the same
-     floats in the same order, so it is bit-identical too. *)
-  let gus = Gus.join (Gus.bernoulli ~rel:"r" 0.1) (Gus.identity [| "s" |]) in
-  let skip_mask = Gus_analysis.Cost.skip_mask gus in
-  check Alcotest.int "skip mask = {s}" 2 skip_mask;
-  let pairs =
-    Array.init 120 (fun i ->
-        ([| i mod 11; i mod 7 |], float_of_int ((i mod 5) + 1)))
+let test_live_projection_matches_full () =
+  (* Half-sampled join: "s" carries no randomness, so the live projection
+     drops it and the kernel runs 2 moment passes instead of 4.  Over
+     n = 2 the full design's run visits the same floats in the same order
+     for every term that survives, so the estimate, the variance and the
+     live Ŷ entries are bit-identical. *)
+  let sym =
+    Symalg.join (Symalg.bernoulli ~rel:"r" 0.1) (Symalg.identity [| "s" |])
   in
-  let dense = Sbox.of_pairs ~gus pairs in
-  let skipped = Sbox.of_pairs ~skip_mask ~gus pairs in
+  let full = Symalg.to_gus sym in
+  let live = Gus_analysis.Lint.live_design sym in
+  check_bool "projected onto r" true (live.Gus.rels = [| "r" |]);
+  let rel =
+    Relation.derived
+      (Schema.make [ { Schema.name = "v"; ty = Value.TFloat } ])
+      [| "r"; "s" |]
+  in
+  for i = 0 to 119 do
+    Relation.append_tuple rel
+      (Tuple.make [| Value.Float (float_of_int ((i mod 5) + 1)) |]
+         [| i mod 11; i mod 7 |])
+  done;
+  let dense = Sbox.of_relation ~gus:full ~f:vcol rel in
+  let projected = Sbox.of_relation ~gus:live ~f:vcol rel in
   let bits = Int64.bits_of_float in
   check_bool "estimate bit-identical" true
-    (Int64.equal (bits dense.Sbox.estimate) (bits skipped.Sbox.estimate));
+    (Int64.equal (bits dense.Sbox.estimate) (bits projected.Sbox.estimate));
   check_bool "variance bit-identical at n=2" true
-    (Int64.equal (bits dense.Sbox.variance) (bits skipped.Sbox.variance));
+    (Int64.equal (bits dense.Sbox.variance) (bits projected.Sbox.variance));
+  (* r is bit 0 in both universes: live masks embed as themselves *)
   Array.iteri
     (fun s yh ->
-      if s land skip_mask <> 0 then close "dead y_hat pinned to 0" 0.0 yh
-      else
-        check_bool "live y_hat bit-identical" true
-          (Int64.equal (bits dense.Sbox.y_hat.(s)) (bits yh)))
-    skipped.Sbox.y_hat;
-  (* y_hat_of_moments agrees with the report's correction under the mask. *)
-  let y = Moments.of_pairs ~skip_mask ~n_rels:2 pairs in
-  let yh = Sbox.y_hat_of_moments ~skip_mask ~gus y in
+      check_bool "live y_hat bit-identical" true
+        (Int64.equal (bits dense.Sbox.y_hat.(s)) (bits yh)))
+    projected.Sbox.y_hat;
+  (* y_hat_of_moments over viewed moments agrees with the report *)
+  let y =
+    Moments.of_pairs ~view:[| 0 |] ~lineage_width:2 ~n_rels:1
+      (Moments.pairs_of_relation ~f:vcol rel)
+  in
   Array.iteri
     (fun s v ->
       check_bool "y_hat_of_moments matches report" true
-        (Int64.equal (bits skipped.Sbox.y_hat.(s)) (bits v)))
-    yh
+        (Int64.equal (bits projected.Sbox.y_hat.(s)) (bits v)))
+    (Sbox.y_hat_of_moments ~gus:live y);
+  (* a design dropping a relation the lineage lacks is refused *)
+  check_bool "foreign relation refused" true
+    (try
+       ignore (Sbox.of_relation ~gus:(Gus.bernoulli ~rel:"t" 0.1) ~f:vcol rel);
+       false
+     with Invalid_argument _ -> true)
 
 let test_query1_fixture_pinned () =
   (* End-to-end regression pin: the full Query-1 pipeline (TPC-H generator →
@@ -365,8 +383,8 @@ let () =
           Alcotest.test_case "schema mismatch" `Quick test_schema_mismatch_rejected;
           Alcotest.test_case "unbiased (MC)" `Slow test_unbiased_estimate_mc;
           Alcotest.test_case "run end-to-end" `Quick test_run_end_to_end;
-          Alcotest.test_case "skip-mask = dense (bit-identical)" `Quick
-            test_skip_mask_matches_dense;
+          Alcotest.test_case "live projection = full, bitwise" `Quick
+            test_live_projection_matches_full;
           Alcotest.test_case "Query-1 fixture pinned to seed values" `Quick
             test_query1_fixture_pinned ] );
       ( "variance",

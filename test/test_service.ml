@@ -10,7 +10,7 @@
       samplers (and reject unknown names), version-bump re-preparation.
    5. Engine: second identical execute is a recorded cache hit with a
       bit-identical response; catalog mutation invalidates; prepared
-      execution matches one-shot Runner.run estimates bit for bit.
+      execution matches one-shot Runner.run_request estimates bit for bit.
    6. Scheduler + QCheck: cached and uncached execution of the same
       (sql, params, seed) are bit-identical, and batch fan-out returns
       identical results in identical order for pool sizes {1, 2, 4}.
@@ -28,7 +28,6 @@ module Catalog = Gus_service.Catalog
 module Prepared = Gus_service.Prepared
 module Engine = Gus_service.Engine
 module Scheduler = Gus_service.Scheduler
-module Protocol = Gus_service.Protocol
 module Wire = Gus_service.Wire
 module Session = Gus_service.Session
 module Admission = Gus_service.Admission
@@ -36,6 +35,10 @@ module Server = Gus_service.Server
 module Replay = Gus_service.Replay
 module Journal = Gus_obs.Journal
 module Runner = Gus_sql.Runner
+
+(* One-shot execution: prepare + execute, the result only. *)
+let run_sql ?seed db sql =
+  (Runner.run_request db (Runner.request ?seed sql)).Runner.rs_result
 module Metrics = Gus_obs.Metrics
 module Pool = Gus_util.Pool
 module Splan = Gus_core.Splan
@@ -77,8 +80,8 @@ let sql_join =
 let sig_of (rs : Runner.response) =
   Json.to_string
     (Json.obj
-       [ ("result", Some (Protocol.result_json rs.Runner.rs_result));
-         ("exact", Protocol.exact_json rs);
+       [ ("result", Some (Wire.result_json rs.Runner.rs_result));
+         ("exact", Wire.exact_json rs);
          ("streamed", Some (Json.Bool rs.Runner.rs_streamed)) ])
 
 (* ---- Workload lint + lint-once metric ---- *)
@@ -344,7 +347,7 @@ let test_matches_one_shot_runner () =
     (Engine.execute e ~handle { Prepared.default_overrides with seed })
       .Engine.response
   in
-  let one_shot = Runner.run ~seed db sql_join in
+  let one_shot = run_sql ~seed db sql_join in
   (* the serving path streams; estimates and tuple counts are guaranteed
      bit-identical to the materializing one-shot path (stddev may differ
      in final bits from moment-reduction order) *)
@@ -374,6 +377,23 @@ let test_scheduler_map () =
           | _ -> Alcotest.fail "inline/pooled disagree")
         pooled)
     [ 1; 2; 4 ]
+
+let test_batch_first_execution () =
+  (* A fresh handle's first executions land on several lanes at once;
+     the prepare-time analysis they share must not race (forcing one
+     lazy value from two domains raises Lazy.Undefined).  Each round is
+     a new engine, so every batch races for a first force. *)
+  for round = 1 to 150 do
+    let e = fresh_engine ~pool:(pool_of 4) () in
+    let handle, _ = Engine.prepare e ~dataset sql_join in
+    let ov = { Prepared.default_overrides with seed = round } in
+    Array.iter
+      (function
+        | Ok _ -> ()
+        | Error ex -> Alcotest.failf "round %d: %s" round (Printexc.to_string ex))
+      (Engine.batch e
+         [| (handle, ov); (handle, { ov with seed = round + 1 }); (handle, ov) |])
+  done
 
 let test_cached_uncached_property () =
   QCheck.Test.check_exn
@@ -608,7 +628,8 @@ let test_replay_detects_drift () =
 let test_protocol_roundtrip () =
   let e = Engine.create ~cache_capacity:4 () in
   ignore (Engine.register_db e ~name:"t" ~source:(Catalog.In_memory "test") db);
-  let line s = Json.of_string (Protocol.handle_line e s) in
+  let session = Session.create e in
+  let line s = Json.of_string (Option.get (Session.handle session s)) in
   let prep =
     line
       (Json.to_string
@@ -644,8 +665,9 @@ let test_protocol_roundtrip () =
 
 let test_protocol_errors () =
   let e = Engine.create () in
+  let session = Session.create e in
   let code_of s =
-    let j = Json.of_string (Protocol.handle_line e s) in
+    let j = Json.of_string (Option.get (Session.handle session s)) in
     ( Option.bind (Json.member "ok" j) Json.to_bool,
       Option.bind (Json.member "error" j) (Json.member "code")
       |> Fun.flip Option.bind Json.to_str )
@@ -833,26 +855,24 @@ let test_shed_rates_math () =
   in
   (* no moments yet: proportional fallback, budget = cost / overload *)
   (match
-     Admission.shed_rates ~overload:2.0 ~order:[ "lineitem" ] ~card
-       ~current:[ ("lineitem", 0.2) ] ()
+     Admission.shed_rates ~overload:2.0 ~card ~current:[ ("lineitem", 0.2) ] ()
    with
   | [ ("lineitem", rate) ] ->
       Alcotest.(check (float 1e-9)) "half the sustainable budget" 0.1 rate
   | _ -> Alcotest.fail "expected exactly one degraded rate");
   (* exact plans sample nothing and cannot shed *)
   check_bool "exact plans unshed" true
-    (Admission.shed_rates ~overload:4.0 ~order:[] ~card ~current:[] () = []);
+    (Admission.shed_rates ~overload:4.0 ~card ~current:[] () = []);
   (* with previous-execution moments the Section-8 optimizer picks the
      split; whatever it picks must respect the degraded budget and the
      [1e-6, 1] clamp at every overload level *)
-  let y = [| 4.0; 2.0; 2.0; 1.0 |] in
+  let y = ([ "lineitem"; "orders" ], [| 4.0; 2.0; 2.0; 1.0 |]) in
   let current = [ ("lineitem", 0.2); ("orders", 0.4) ] in
   let cost = (1000. *. 0.2) +. (500. *. 0.4) in
   List.iter
     (fun overload ->
       let rates =
-        Admission.shed_rates ~overload ~order:[ "lineitem"; "orders" ] ~card
-          ~current ~y ()
+        Admission.shed_rates ~overload ~card ~current ~y ()
       in
       check_int "both relations rated" 2 (List.length rates);
       let spent =
@@ -917,6 +937,56 @@ let test_shed_journal_replay () =
   check_int "all bit-identical" 4 r.Replay.rp_matched;
   check_int "shed decisions counted" 3 r.Replay.rp_sheds;
   check_bool "no mismatches" true (r.Replay.rp_mismatches = [])
+
+(* q02's shape: a sampled fact table joined with an unsampled dimension.
+   The report's design spans lineitem only, so the shedder must build its
+   candidate designs over the report's relations — a Ŷ over lineitem
+   cannot be priced against a design over (lineitem, orders). *)
+let sql_q02 =
+  "SELECT SUM(l_extendedprice) AS s FROM lineitem TABLESAMPLE (20 PERCENT), \
+   orders WHERE l_orderkey = o_orderkey"
+
+let test_shed_unsampled_join () =
+  let e = fresh_engine () in
+  let adm = Admission.create ~fixed_overload:3.0 () in
+  let s = Session.create ~admission:adm e in
+  check_bool "prepare ok" true (ok_of (session_req s (prepare_line sql_q02)));
+  let exec seed =
+    let r =
+      session_req s
+        (Printf.sprintf {|{"op":"execute","handle":"q","seed":%d}|} seed)
+    in
+    check_bool "shed execute ok" true (ok_of r);
+    let rate =
+      match Json.member "shed_rates" r with
+      | Some (Json.Obj [ ("lineitem", Json.Num rate) ]) -> rate
+      | _ -> Alcotest.fail "expected one shed rate, for lineitem"
+    in
+    let cell =
+      match
+        Option.bind (Json.member "result" r) (Json.member "cells")
+        |> Fun.flip Option.bind Json.to_list
+      with
+      | Some [ c ] -> c
+      | _ -> Alcotest.fail "one cell"
+    in
+    let num k = Option.get (Option.bind (Json.member k cell) Json.to_num) in
+    (rate, num "estimate", num "stddev")
+  in
+  let pinned what (rate, estimate, stddev) (rate', estimate', stddev') =
+    let same x y =
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    in
+    check_bool (what ^ ": shed rate") true (same rate rate');
+    check_bool (what ^ ": estimate") true (same estimate estimate');
+    check_bool (what ^ ": stddev") true (same stddev stddev')
+  in
+  (* The first execute has no moments (proportional split); the second
+     seeds the Section-8 optimizer with the first one's Ŷ. *)
+  pinned "first" (exec 31)
+    (0x1.0ffbf0c6e9ed4p-4, 0x1.0dabe9b4e774fp+24, 0x1.8109ca4086fa4p+20);
+  pinned "second" (exec 32)
+    (0x1.0ffbf0c6e9ed4p-4, 0x1.20eb53640e8fbp+24, 0x1.a70c5060bdcap+20)
 
 (* ---- TCP transport ---- *)
 
@@ -1021,7 +1091,9 @@ let () =
       ( "scheduler",
         [ Alcotest.test_case "deterministic map" `Quick test_scheduler_map;
           Alcotest.test_case "cached = uncached (pools 1/2/4)" `Slow
-            test_cached_uncached_property ] );
+            test_cached_uncached_property;
+          Alcotest.test_case "pooled first executions do not race" `Quick
+            test_batch_first_execution ] );
       ( "workload",
         [ Alcotest.test_case "json round-trip + totals" `Quick
             test_workload_json_roundtrip;
@@ -1040,6 +1112,8 @@ let () =
             test_admission_accounting;
           Alcotest.test_case "section-8 shed rates" `Quick
             test_shed_rates_math;
+          Alcotest.test_case "shed on a join with an unsampled table" `Quick
+            test_shed_unsampled_join;
           Alcotest.test_case "shed journal replays bit-identical" `Quick
             test_shed_journal_replay ] );
       ( "server",

@@ -10,6 +10,10 @@ module Splan = Gus_core.Splan
 module Sampler = Gus_sampling.Sampler
 open Gus_relational
 
+(* One-shot execution: prepare + execute, the result only. *)
+let run_sql ?seed db sql =
+  (Runner.run_request db (Runner.request ?seed sql)).Runner.rs_result
+
 let check = Alcotest.check
 let check_bool = check Alcotest.bool
 let check_int = check Alcotest.int
@@ -278,7 +282,7 @@ let test_sampler_of_spec () =
 let test_run_exact_no_sampling () =
   let db = Lazy.force db in
   let result =
-    Runner.run db "SELECT SUM(l_quantity) AS q, COUNT(*) AS n FROM lineitem"
+    run_sql db "SELECT SUM(l_quantity) AS q, COUNT(*) AS n FROM lineitem"
   in
   let exact =
     Runner.run_exact db "SELECT SUM(l_quantity) AS q, COUNT(*) AS n FROM lineitem"
@@ -296,7 +300,7 @@ let test_run_sampled_reasonable () =
     "SELECT SUM(l_extendedprice) FROM lineitem TABLESAMPLE (30 PERCENT), orders \
      WHERE l_orderkey = o_orderkey"
   in
-  let result = Runner.run ~seed:3 db sql in
+  let result = run_sql ~seed:3 db sql in
   let truth = snd (List.hd (Runner.run_exact db sql)) in
   let cell = List.hd result.Runner.cells in
   check_bool "estimate within 6 sd" true
@@ -310,7 +314,7 @@ let test_run_quantile_brackets () =
     "SELECT QUANTILE(SUM(l_quantity), 0.05) AS lo, QUANTILE(SUM(l_quantity), 0.95) AS hi \
      FROM lineitem TABLESAMPLE (50 PERCENT)"
   in
-  let result = Runner.run ~seed:4 db sql in
+  let result = run_sql ~seed:4 db sql in
   match result.Runner.cells with
   | [ lo; hi ] -> check_bool "lo < hi" true (lo.Runner.value < hi.Runner.value)
   | _ -> Alcotest.fail "two cells expected"
@@ -320,7 +324,7 @@ let test_run_avg_count () =
   let sql =
     "SELECT AVG(l_quantity), COUNT(l_quantity) FROM lineitem TABLESAMPLE (40 PERCENT)"
   in
-  let result = Runner.run ~seed:5 db sql in
+  let result = run_sql ~seed:5 db sql in
   let truth = Runner.run_exact db sql in
   List.iter2
     (fun cell (_, t) ->
@@ -337,7 +341,7 @@ let test_run_group_by_exact () =
   (* Without sampling, per-group estimates equal the exact group sums. *)
   let db = Lazy.force db in
   let sql = "SELECT SUM(l_quantity) AS q FROM lineitem GROUP BY l_returnflag" in
-  let result = Runner.run db sql in
+  let result = run_sql db sql in
   let exact = Runner.run_exact_groups db sql in
   check_bool "no whole-query cells" true (result.Runner.cells = []);
   check_int "three flags" 3 (List.length result.Runner.groups);
@@ -355,7 +359,7 @@ let test_run_group_by_sampled () =
     "SELECT SUM(l_quantity) AS q FROM lineitem TABLESAMPLE (40 PERCENT) \
      GROUP BY l_returnflag"
   in
-  let result = Runner.run ~seed:7 db sql in
+  let result = run_sql ~seed:7 db sql in
   let exact = Runner.run_exact_groups db sql in
   check_int "three flags observed" 3 (List.length result.Runner.groups);
   List.iter
@@ -369,7 +373,7 @@ let test_run_group_by_sampled () =
 let test_run_deterministic_seed () =
   let db = Lazy.force db in
   let sql = "SELECT SUM(l_quantity) FROM lineitem TABLESAMPLE (20 PERCENT)" in
-  let a = Runner.run ~seed:6 db sql and b = Runner.run ~seed:6 db sql in
+  let a = run_sql ~seed:6 db sql and b = run_sql ~seed:6 db sql in
   close "same seed same estimate"
     (List.hd a.Runner.cells).Runner.value
     (List.hd b.Runner.cells).Runner.value
@@ -454,6 +458,70 @@ let prop_planner_matches_brute_force =
 let differential_qcheck =
   List.map QCheck_alcotest.to_alcotest [ prop_planner_matches_brute_force ]
 
+(* ---- one estimator route at any width ---- *)
+
+(* 28 relations, 3 sampled: past the dense 2^26 wall for the full design,
+   2^3 moment passes for the live one.  The unsampled relations hold one
+   row each, so the cross product stays 6^3 rows. *)
+let wide_db, wide_sql =
+  let n = 28 and sampled = [ 3; 11; 20 ] in
+  let db = Database.create () in
+  for i = 0 to n - 1 do
+    let col = Printf.sprintf "c%02d" i in
+    let rel =
+      Relation.create_base ~name:(Printf.sprintf "w%02d" i)
+        (Schema.make [ { Schema.name = col; ty = Value.TFloat } ])
+    in
+    let rows = if List.mem i sampled then 6 else 1 in
+    for r = 0 to rows - 1 do
+      let v = float_of_int (((i + (3 * r)) mod 7) + 1) in
+      Relation.append_row rel [| Value.Float v |]
+    done;
+    Database.add db rel
+  done;
+  let from =
+    List.init n (fun i ->
+        Printf.sprintf "w%02d%s" i
+          (if List.mem i sampled then " TABLESAMPLE (50 PERCENT)" else ""))
+  in
+  ( db,
+    "SELECT SUM(c03 + c11 * c20 + c00) AS s FROM " ^ String.concat ", " from )
+
+let test_run_wide_live_route () =
+  (* Runner.execute — what `gusdb query`/`serve` run — estimates on the
+     live projection, so it answers where the full design cannot even be
+     materialized, bit-identically to Sbox.stream on the same plan and
+     seed (both stream the sample through the same accumulator). *)
+  let p = Runner.prepare wide_db wide_sql in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun seed ->
+      let rs =
+        Runner.execute wide_db p
+          { Runner.default_params with seed; streaming = true }
+      in
+      check_bool "streamed" true rs.Runner.rs_streamed;
+      let cell = List.hd rs.Runner.rs_result.Runner.cells in
+      let report, _ =
+        Gus_estimator.Sbox.stream ~seed wide_db p.Runner.pr_plan
+          ~f:Expr.(col "c03" + (col "c11" * col "c20") + col "c00")
+      in
+      check_int "live design" 3
+        (Array.length report.Gus_estimator.Sbox.gus.Gus_core.Gus.rels);
+      check_bool "estimate bit-identical" true
+        (Int64.equal (bits cell.Runner.value)
+           (bits report.Gus_estimator.Sbox.estimate));
+      check_bool "stddev bit-identical" true
+        (Int64.equal (bits cell.Runner.stddev)
+           (bits report.Gus_estimator.Sbox.stddev));
+      (* the materializing path draws the same sample *)
+      let mat = Runner.execute wide_db p { Runner.default_params with seed } in
+      check_bool "materializing estimate bit-identical" true
+        (Int64.equal
+           (bits (List.hd mat.Runner.rs_result.Runner.cells).Runner.value)
+           (bits cell.Runner.value)))
+    [ 1; 2; 3 ]
+
 let () =
   Alcotest.run "gus_sql"
     [ ( "lexer",
@@ -491,4 +559,6 @@ let () =
           Alcotest.test_case "group by parsing" `Quick test_parse_group_by;
           Alcotest.test_case "group by exact" `Quick test_run_group_by_exact;
           Alcotest.test_case "group by sampled" `Quick test_run_group_by_sampled;
-          Alcotest.test_case "deterministic in seed" `Quick test_run_deterministic_seed ] ) ]
+          Alcotest.test_case "deterministic in seed" `Quick test_run_deterministic_seed;
+          Alcotest.test_case "28 relations, 3 sampled = Sbox.stream" `Quick
+            test_run_wide_live_route ] ) ]

@@ -1,11 +1,16 @@
 (* Tests for the symbolic sum-of-products coefficient algebra: every
    constructor and combinator mirrored against the dense {!Gus} oracle,
-   the rewrite-rule book, structure queries (live mask, monotonicity,
-   projection), the 62-relation mask guard, and the view-keyed sparse
-   moments that carry wide-plan estimation past the dense 2^n wall. *)
+   random plans linted bit-identically to the test-side dense lint
+   engine, the rewrite-rule book, structure queries (live mask,
+   monotonicity, projection, including the dense fallback), the
+   62-relation mask guard, and the view-keyed sparse moments that carry
+   wide-plan estimation past the dense 2^n wall. *)
 
 module Gus = Gus_core.Gus
 module Symalg = Gus_core.Symalg
+module Splan = Gus_core.Splan
+module Sampler = Gus_sampling.Sampler
+module Lint = Gus_analysis.Lint
 module Subset = Gus_util.Subset
 module Moments = Gus_estimator.Moments
 module Pool = Gus_util.Pool
@@ -190,6 +195,57 @@ let test_qcheck_coefficients_agree () =
   in
   QCheck_alcotest.to_alcotest cell
 
+(* The same structural choices as plans: each relation is scanned
+   unsampled, Bernoulli-sampled, WOR-sampled or kept whole by a redundant
+   Bernoulli(1); left-deep cross joins; then optionally a Bernoulli over
+   the whole join or a union with a Bernoulli-thinned copy of it.  The
+   linter must report exactly what the dense engine reports over the
+   materialized design — root diagnostics, [a], passes, skipped passes,
+   variance bound — bit for bit. *)
+let random_plan rand n =
+  let rel i = Printf.sprintf "x%d" i in
+  let cards = Array.init n (fun _ -> 10 + rand 1000) in
+  let card r = cards.(int_of_string (String.sub r 1 (String.length r - 1))) in
+  let leaf i =
+    let scan = Splan.Scan (rel i) in
+    match rand 4 with
+    | 0 -> scan
+    | 1 ->
+        let p = 0.05 +. (0.9 *. float_of_int (rand 19) /. 19.0) in
+        Splan.Sample (Sampler.Bernoulli p, scan)
+    | 2 -> Splan.Sample (Sampler.Wor (1 + rand cards.(i)), scan)
+    | _ -> Splan.Sample (Sampler.Bernoulli 1.0, scan)
+  in
+  let rec joins i acc =
+    if i >= n then acc else joins (i + 1) (Splan.Cross (acc, leaf i))
+  in
+  let plan = joins 1 (leaf 0) in
+  let plan =
+    match rand 3 with
+    | 0 -> plan
+    | 1 ->
+        let p = 0.1 +. (0.8 *. float_of_int (rand 9) /. 9.0) in
+        Splan.Sample (Sampler.Bernoulli p, plan)
+    | _ ->
+        Splan.Union_samples
+          (plan, Splan.Sample (Sampler.Bernoulli 0.3, plan))
+  in
+  (plan, card)
+
+let test_qcheck_lint_matches_dense () =
+  let gen = QCheck2.Gen.(pair (int_range 1 8) (int_bound 1_000_000)) in
+  let cell =
+    QCheck2.Test.make ~count:200 ~name:"lint = dense lint engine" gen
+      (fun (n, seed) ->
+        let st = Random.State.make [| seed |] in
+        let plan, card = random_plan (Random.State.int st) n in
+        match Dense_oracle.lint_mismatch plan (Lint.run ~card plan) with
+        | None -> true
+        | Some what ->
+            QCheck2.Test.fail_reportf "%a: %s" Splan.pp plan what)
+  in
+  QCheck_alcotest.to_alcotest cell
+
 (* ---- the rule book ---- *)
 
 let test_rule_book () =
@@ -258,6 +314,11 @@ let test_project () =
   check_bool "b{} embeds" true (bits (Gus.b_get gd 0) = bits (Gus.b_get pd 0));
   check_bool "b{b} embeds" true
     (bits (Gus.b_get gd 0b010) = bits (Gus.b_get pd 1));
+  (* A dense fallback projects by gathering its entries at the embedded
+     masks: the same design. *)
+  let dense = Symalg.of_gus gd in
+  check_gus_bits "dense fallback projection" pd
+    (Symalg.to_gus (Symalg.project dense (Symalg.live_mask dense)));
   (* Projecting away a live relation is refused. *)
   check_bool "cannot project away live" true
     (try ignore (Symalg.project g 0); false with Gus.Incompatible _ -> true)
@@ -401,7 +462,8 @@ let () =
             test_union_close;
           Alcotest.test_case "extend/permute" `Quick test_extend_permute ] );
       ( "coefficients",
-        [ test_qcheck_coefficients_agree () ] );
+        [ test_qcheck_coefficients_agree ();
+          test_qcheck_lint_matches_dense () ] );
       ( "rule-book",
         [ Alcotest.test_case "fixpoint + compaction" `Quick test_rule_book;
           Alcotest.test_case "drops preserve evaluation" `Quick

@@ -4,6 +4,10 @@
 
 module Workload = Gus_experiments.Workload
 module Runner = Gus_sql.Runner
+
+(* One-shot execution: prepare + execute, the result only. *)
+let run_sql ?seed db sql =
+  (Runner.run_request db (Runner.request ?seed sql)).Runner.rs_result
 module Interval = Gus_stats.Interval
 
 let check = Alcotest.check
@@ -35,7 +39,7 @@ let test_exact_variant_zero_variance () =
   let db = Lazy.force db in
   List.iter
     (fun q ->
-      let result = Runner.run db q.Workload.exact in
+      let result = run_sql db q.Workload.exact in
       List.iter
         (fun cell ->
           check (Alcotest.float 1e-9)
@@ -48,7 +52,7 @@ let test_exact_matches_run_exact () =
   let db = Lazy.force db in
   List.iter
     (fun q ->
-      let result = Runner.run db q.Workload.exact in
+      let result = run_sql db q.Workload.exact in
       let truths = Runner.run_exact db q.Workload.exact in
       List.iter2
         (fun cell (label, truth) ->
@@ -69,7 +73,7 @@ let test_sampled_within_chebyshev () =
     (fun q ->
       let truths = Runner.run_exact db q.Workload.exact in
       for seed = 1 to 3 do
-        let result = Runner.run ~seed:(seed * 997) db q.Workload.sampled in
+        let result = run_sql ~seed:(seed * 997) db q.Workload.sampled in
         List.iteri
           (fun i cell ->
             let _, truth = List.nth truths i in
