@@ -59,7 +59,13 @@ let baseline_main_ns =
        overhead gate (CI holds a fresh service/prepared-q1 within 5% of
        this, like obs/stream-query1-traced against sbox/stream-query1's
        pre-instrumentation baseline). *)
-    ("service/prepared-q1", 107.39e3) ]
+    ("service/prepared-q1", 107.39e3);
+    (* Measured immediately before typed columns became the only layout
+       (median of three full --micro passes): grouped SQL copied every
+       sampled tuple into row-backed groups, and the row-at-a-time
+       operators wrote boxed tuple rows. *)
+    ("sql/group-by-q06-sf0.1", 11.24e6);
+    ("ops/theta-join-sf0.1", 10.22e6) ]
 
 (* Where [baseline_main_ns] was measured.  ns-per-run is meaningless
    across machines, so both CI gates compare a fresh run against the
@@ -90,7 +96,7 @@ let micro_pool = lazy (Pool.create ~size:(max 2 (Pool.default_size ())))
    very fast bodies (the sub-100us service / scan / rewrite rows) need
    both a floor and many untimed warmup calls, or cold caches and the
    small sample count collapse the fit (the committed tpch/scan-sum-sf0.1
-   and service/cache-hit-q1 once recorded r² << 0).  Rows sharing an
+   and service/cache-hit-q1 once recorded r² << 0).  Benches sharing an
    effective quota are measured as one Bechamel group. *)
 type spec = {
   name : string;
@@ -208,6 +214,21 @@ let micro_specs ~quota () =
       ()
   | r -> failwith ("bench: session prepare failed: " ^ Option.value r ~default:"<none>"));
   let session_exec_line = "{\"op\":\"execute\",\"handle\":\"sq\",\"seed\":0}" in
+  (* Row-at-a-time operators and the grouped SQL path at SF 0.1.  q06 is
+     the example workload's GROUP BY (AVG over a 50% sample, grouped by
+     return flag): one Runner.execute per run, parse/plan/lint amortized
+     into the prepared handle, as the server runs it.  The theta join
+     nested-loops part x customer (200 x 150 pairs at SF 0.1) and keeps
+     about a quarter of them. *)
+  let q06 =
+    Gus_sql.Runner.prepare db01
+      "SELECT AVG(l_extendedprice) FROM lineitem TABLESAMPLE (50 PERCENT) \
+       GROUP BY l_returnflag"
+  in
+  let q06_params = { Gus_sql.Runner.default_params with seed = 6 } in
+  let part01 = Gus_relational.Database.find db01 "part" in
+  let customer01 = Gus_relational.Database.find db01 "customer" in
+  let theta_pred = Gus_relational.Expr.(col "p_size" < col "c_nationkey") in
   (* TPC-H scale sweep: generation, base-scan aggregate.  lineitem at
      SF 0.1 is the base relation every honest downstream number rests on. *)
   let lineitem01 =
@@ -264,6 +285,16 @@ let micro_specs ~quota () =
       quota_floor = heavy_quota_floor;
       warmup = 1;
       body = (fun () -> ignore (Gus_relational.Snapshot.load ~path:snap01)) };
+    { name = "sql/group-by-q06-sf0.1";
+      quota_floor = heavy_quota_floor;
+      warmup = 1;
+      body = (fun () -> ignore (Gus_sql.Runner.execute db01 q06 q06_params)) };
+    { name = "ops/theta-join-sf0.1";
+      quota_floor = heavy_quota_floor;
+      warmup = 1;
+      body =
+        (fun () ->
+          ignore (Gus_relational.Ops.theta_join theta_pred part01 customer01)) };
     { name = "sbox/rewrite-n6";
       quota_floor = fit_quota_floor;
       warmup = fit_warmup;
@@ -522,7 +553,7 @@ let bench_group ~quota specs =
 let run_micro ~quota ~json () =
   print_endline "\n=== Bechamel micro-benchmarks (monotonic clock) ===\n";
   let specs = micro_specs ~quota () in
-  (* Rows sharing an effective quota (requested quota floored per row)
+  (* Benches sharing an effective quota (requested quota floored per row)
      are measured as one group, so floored rows keep their fits stable
      under a short --quota while unfloored rows stay cheap. *)
   let effective s = Float.max quota s.quota_floor in

@@ -91,11 +91,7 @@ let advise ?(seed = 2013) ?(rate = 0.05) db graph =
     (fun r ->
       let s = Sampler.apply (Sampler.Bernoulli rate) rng (Database.find db r) in
       (* Re-register under the original name so skeleton Scans resolve. *)
-      let renamed =
-        Relation.derived ~name:r s.Relation.schema s.Relation.lineage_schema
-      in
-      Relation.iter (Relation.append_tuple renamed) s;
-      Database.add sampled renamed)
+      Database.add sampled { s with Relation.name = r })
     graph.relations;
   let cost_order order =
     match order with

@@ -457,29 +457,28 @@ module Acc = struct
     y
 end
 
+(* Lineage from the lineage columns, [f] (and [g]) compiled over the
+   data columns when {!Relation.bind_float} can; [g] is evaluated before
+   [f] on each row, the order the tuple path evaluated them in, so a
+   raise comes from the same expression at the same row. *)
 let triples_of_relation ~f ~g rel =
-  let ef = Expr.bind_float rel.Relation.schema f in
-  let eg = Expr.bind_float rel.Relation.schema g in
-  let out = Array.make (Relation.cardinality rel) ([||], 0.0, 0.0) in
-  let i = ref 0 in
-  Relation.iter
-    (fun tup ->
-      out.(!i) <- (tup.Tuple.lineage, ef tup, eg tup);
-      incr i)
-    rel;
+  let ef = Relation.bind_float rel f in
+  let eg = Relation.bind_float rel g in
+  let lineage = Relation.lineage rel in
+  let out =
+    Array.init (Relation.cardinality rel) (fun i ->
+        let gv = eg i in
+        let fv = ef i in
+        (lineage i, fv, gv))
+  in
   if Metrics.enabled () then
     Metrics.add m_materialized (Relation.cardinality rel);
   out
 
 let pairs_of_relation ~f rel =
-  let eval = Expr.bind_float rel.Relation.schema f in
-  let out = Array.make (Relation.cardinality rel) ([||], 0.0) in
-  let i = ref 0 in
-  Relation.iter
-    (fun tup ->
-      out.(!i) <- (tup.Tuple.lineage, eval tup);
-      incr i)
-    rel;
+  let eval = Relation.bind_float rel f in
+  let lineage = Relation.lineage rel in
+  let out = Array.init (Relation.cardinality rel) (fun i -> (lineage i, eval i)) in
   if Metrics.enabled () then
     Metrics.add m_materialized (Relation.cardinality rel);
   out

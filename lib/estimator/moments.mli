@@ -51,7 +51,9 @@ val of_relation :
 val pairs_of_relation :
   f:Gus_relational.Expr.t -> Gus_relational.Relation.t -> (int array * float) array
 (** The SBox input stream of Section 6.2: per-result-tuple lineage and
-    aggregate contribution. *)
+    aggregate contribution, read straight from the columns
+    ({!Gus_relational.Relation.bind_float}); a tuple is materialized
+    only when [f] does not compile over them. *)
 
 val triples_of_relation :
   f:Gus_relational.Expr.t ->

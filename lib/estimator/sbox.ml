@@ -102,12 +102,18 @@ let check_schema gus rel =
   let lschema = rel.Relation.lineage_schema in
   if gus.Gus.rels <> lschema then lineage_mismatch gus lschema
 
+(* The materializing paths read only the live lineage columns: the
+   kernel groups on nothing else, so the moments are the view kernel's
+   bit for bit, without copying the dropped relations' ids into every
+   pair. *)
+let live_lineage gus rel =
+  match kernel_view gus rel.Relation.lineage_schema with
+  | None, _ -> rel
+  | Some view, _ -> Relation.restrict_lineage rel view
+
 let of_relation ~gus ~f rel =
-  let view, lineage_width = kernel_view gus rel.Relation.lineage_schema in
-  let pairs = Moments.pairs_of_relation ~f rel in
-  let y_raw =
-    Moments.of_pairs ?view ~lineage_width ~n_rels:(Gus.n_rels gus) pairs
-  in
+  let pairs = Moments.pairs_of_relation ~f (live_lineage gus rel) in
+  let y_raw = Moments.of_pairs ~n_rels:(Gus.n_rels gus) pairs in
   report ~gus ~n_tuples:(Array.length pairs) ~total_f:(Moments.total pairs)
     y_raw
 
@@ -203,10 +209,9 @@ let stream ?(seed = 42) ?pool db plan ~f =
   (of_plan ?pool ~gus ~f db rng plan, analysis)
 
 let covariance ~gus ~f ~g rel =
-  let view, lineage_width = kernel_view gus rel.Relation.lineage_schema in
   let y_raw =
-    Moments.bilinear_of_pairs ?view ~lineage_width ~n_rels:(Gus.n_rels gus)
-      (Moments.triples_of_relation ~f ~g rel)
+    Moments.bilinear_of_pairs ~n_rels:(Gus.n_rels gus)
+      (Moments.triples_of_relation ~f ~g (live_lineage gus rel))
   in
   (* The Ŷ correction is linear in the moments, so it applies verbatim to
      the bilinear ones. *)

@@ -281,10 +281,10 @@ let compile_stages rng stages core_schema =
   in
   (make, out_schema)
 
-(* Columnar streaming prefix.  When the core materialized as columns,
-   the leading suffix stages that are expressible as pure-ish per-index
-   filters — a Vexpr-compilable Select, the single Bernoulli, a
-   Hash_bernoulli — run directly over the columns; a [Tuple.t] is built
+(* Columnar streaming prefix.  The leading suffix stages that are
+   expressible as pure-ish per-index filters — a Vexpr-compilable
+   Select, the single Bernoulli, a Hash_bernoulli — run directly over
+   the columns; a [Tuple.t] is built
    only for rows that survive them.  Draw order is untouched: filters
    compose in stage order with short-circuit (a tuple the row path drops
    at a Select never reaches the Bernoulli, so the index path must not
@@ -292,8 +292,9 @@ let compile_stages rng stages core_schema =
    the compiled stage would.  Returns the filters (stage order) and the
    remaining stages for {!compile_stages}; the remaining stages see the
    unchanged core schema because filter stages never reshape tuples. *)
-let split_index_filters rng (c : Relation.cols) core_schema stages =
-  let ccols = c.Relation.ccols in
+let split_index_filters rng core stages =
+  let core_schema = core.Relation.schema in
+  let ccols = core.Relation.cols.Relation.ccols in
   let rec go acc = function
     | St_select e :: rest as all -> (
         match Vexpr.predicate core_schema ccols e with
@@ -304,7 +305,7 @@ let split_index_filters rng (c : Relation.cols) core_schema stages =
     | St_hash { seed; p } :: rest ->
         go
           ((fun i ->
-             Gus_util.Hashing.prf_float ~seed (Relation.lineage_id c ~slot:0 i) < p)
+             Gus_util.Hashing.prf_float ~seed (Relation.lineage_id core ~slot:0 i) < p)
           :: acc)
           rest
     | (St_project _ :: _ | []) as all -> (List.rev acc, all)
@@ -329,23 +330,15 @@ let fold_stream db rng plan ~init ~f =
   let core, stages = split_stream plan in
   let rel = exec db rng core in
   account_stream rel;
-  match Relation.store rel with
-  | Relation.Cols c ->
-      let filters, rest = split_index_filters rng c rel.Relation.schema stages in
-      let make, out_schema = compile_stages rng rest rel.Relation.schema in
-      let acc = ref (init out_schema) in
-      let push = make (fun tup -> acc := f !acc tup) in
-      Gus_obs.Trace.span "splan.stream" (fun () ->
-          for i = 0 to c.Relation.cn - 1 do
-            if passes filters i then push (Relation.tuple rel i)
-          done);
-      !acc
-  | Relation.Rows _ ->
-      let make, out_schema = compile_stages rng stages rel.Relation.schema in
-      let acc = ref (init out_schema) in
-      let push = make (fun tup -> acc := f !acc tup) in
-      Gus_obs.Trace.span "splan.stream" (fun () -> Relation.iter push rel);
-      !acc
+  let filters, rest = split_index_filters rng rel stages in
+  let make, out_schema = compile_stages rng rest rel.Relation.schema in
+  let acc = ref (init out_schema) in
+  let push = make (fun tup -> acc := f !acc tup) in
+  Gus_obs.Trace.span "splan.stream" (fun () ->
+      for i = 0 to Relation.cardinality rel - 1 do
+        if passes filters i then push (Relation.tuple rel i)
+      done);
+  !acc
 
 let stages_use_rng stages =
   List.exists (function St_bernoulli _ -> true | _ -> false) stages
@@ -364,14 +357,10 @@ let fold_stream_par ?pool db rng plan ~init ~f ~merge =
          && not (stages_use_rng stages) ->
       (* RNG-free suffix: each lane streams one contiguous chunk of the
          core into its own accumulator; partials merge in chunk order.
-         On a columnar core the RNG-free index filters (Select, Hash)
-         are shared across lanes — they are pure — and tuples are
-         materialized only for surviving rows. *)
-      let filters, rest =
-        match Relation.store rel with
-        | Relation.Cols c -> split_index_filters rng c rel.Relation.schema stages
-        | Relation.Rows _ -> ([], stages)
-      in
+         The RNG-free index filters (Select, Hash) are shared across
+         lanes — they are pure — and tuples are materialized only for
+         surviving rows. *)
+      let filters, rest = split_index_filters rng rel stages in
       let make = if rest == stages then make else fst (compile_stages rng rest rel.Relation.schema) in
       let chs = Pool.chunks p ~lo:0 ~hi:n in
       let accs = Array.map (fun _ -> init out_schema) chs in

@@ -44,17 +44,8 @@ let finished t =
     (fun (_, s) -> s.consumed >= Array.length s.order)
     t.streams
 
-let prefix_relation s =
-  let rel = s.relation in
-  let out =
-    Relation.derived ~name:rel.Relation.name rel.Relation.schema
-      rel.Relation.lineage_schema
-  in
-  (* Keep base-relation row ids: the WOR analysis only compares lineage. *)
-  for i = 0 to s.consumed - 1 do
-    Relation.append_tuple out (Relation.tuple rel s.order.(i))
-  done;
-  out
+(* Keeps base-relation row ids: the WOR analysis only compares lineage. *)
+let prefix_relation s = Relation.gather_rows s.relation s.order s.consumed
 
 let estimate t =
   let db' = Database.create () in

@@ -144,11 +144,7 @@ let simulate ?(seed = 1) db ~plan ~f ~windows ~capacity =
         let kept =
           Sampler.apply sampler (Gus_util.Rng.create 0) (Database.find wdb name)
         in
-        let renamed =
-          Relation.derived ~name kept.Relation.schema kept.Relation.lineage_schema
-        in
-        Relation.iter (Relation.append_tuple renamed) kept;
-        Database.add shed renamed)
+        Database.add shed { kept with Relation.name })
       arrivals;
     let kept =
       List.map (fun r -> (r, Relation.cardinality (Database.find shed r))) rels

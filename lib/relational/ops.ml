@@ -24,7 +24,6 @@ let c_theta_join = op_rows "theta_join"
 let c_union_all = op_rows "union_all"
 let c_union_lineage = op_rows "union_lineage"
 let c_distinct = op_rows "distinct"
-let c_group_by = op_rows "group_by"
 
 (* Hash tables keyed directly on the data we already hold — a Value, a
    lineage array, a Value array — with the library's semantic equality and
@@ -98,12 +97,13 @@ let chunked_scan ?pool ?(par_threshold = Pool.default_par_threshold) rel out bod
   | _ -> Relation.iter (body (Relation.append_tuple out)) rel
 
 (* ---- vectorized kernels -------------------------------------------------
-   When the input is columnar and the expressions compile ({!Vexpr}), the
-   operators below run over raw columns: predicates fill selection index
-   vectors (chunked across the pool, stitched back in chunk order — the
-   same determinism discipline as {!chunked_scan}), and outputs are
-   gathered column-wise.  Every kernel is bit-identical to the row path
-   it replaces; anything it cannot express falls back to that path. *)
+   When the expressions compile ({!Vexpr}), the operators below run over
+   raw columns: predicates fill selection index vectors (chunked across
+   the pool, stitched back in chunk order — the same determinism
+   discipline as {!chunked_scan}), and outputs are gathered column-wise.
+   Every kernel is bit-identical to the row-at-a-time path; anything it
+   cannot express falls back to that path, which appends tuples to a
+   columnar output. *)
 
 (* Selection indices for [keep] over [0, n), pool-chunked when worthwhile.
    Chunk boundaries come from {!Pool.chunks} and the per-chunk buffers are
@@ -152,22 +152,12 @@ let select_indices ?pool ?(par_threshold = Pool.default_par_threshold) keep n =
 
 let select ?pool ?par_threshold pred rel =
   let name = Printf.sprintf "select(%s)" rel.Relation.name in
-  let vectorized =
-    match Relation.store rel with
-    | Relation.Cols c -> begin
-        match Vexpr.predicate rel.Relation.schema c.Relation.ccols pred with
-        | Some keep ->
-            let idx, count =
-              select_indices ?pool ?par_threshold keep c.Relation.cn
-            in
-            Some (Relation.gather_rows ~name rel c idx count)
-        | None -> None
-      end
-    | Relation.Rows _ -> None
-  in
+  let c = rel.Relation.cols in
   let out =
-    match vectorized with
-    | Some out -> out
+    match Vexpr.predicate rel.Relation.schema c.Relation.ccols pred with
+    | Some keep ->
+        let idx, count = select_indices ?pool ?par_threshold keep c.Relation.cn in
+        Relation.gather_rows ~name rel idx count
     | None ->
         let keep = Expr.bind_predicate rel.Relation.schema pred in
         let out =
@@ -179,18 +169,33 @@ let select ?pool ?par_threshold pred rel =
   in
   account c_select ~inputs:[ rel ] out
 
+(* The type of the values the row engine computes for [e]: arithmetic
+   whose operands are all ints stays int, as [Value.arith] evaluates it;
+   any other arithmetic is float.  Arithmetic over a NULL literal, a
+   non-numeric operand or an unknown column types as float too: it only
+   ever yields NULL, or raises. *)
+let rec expr_ty schema = function
+  | Expr.Col c -> (
+      match Schema.find_index schema c with
+      | Some j -> Schema.column_ty schema j
+      | None -> Value.TFloat)
+  | Expr.Lit v -> Option.value (Value.type_of v) ~default:Value.TFloat
+  | Expr.Neg e -> (
+      match expr_ty schema e with Value.TInt -> Value.TInt | _ -> Value.TFloat)
+  | Expr.Bin (_, a, b) ->
+      if expr_ty schema a = Value.TInt && expr_ty schema b = Value.TInt then
+        Value.TInt
+      else Value.TFloat
+  | Expr.Cmp _ | Expr.And _ | Expr.Or _ | Expr.Not _ -> Value.TBool
+
 let project_schema fields schema =
   Schema.make
     (List.map
        (fun (name, e) ->
          let ty =
-           (* Infer a column type from the expression shape when obvious;
-              fall back to float, the common case for aggregated inputs. *)
            match e with
            | Expr.Col c -> Schema.column_ty schema (Schema.index_of schema c)
-           | Expr.Lit v -> Option.value (Value.type_of v) ~default:Value.TFloat
-           | Expr.Cmp _ | Expr.And _ | Expr.Or _ | Expr.Not _ -> Value.TBool
-           | _ -> Value.TFloat
+           | e -> expr_ty schema e
          in
          { Schema.name; ty })
        fields)
@@ -198,10 +203,8 @@ let project_schema fields schema =
 (* One output column per projected field.  [PCopy] reuses the source
    column wholesale (fresh backing, shared dictionary); the typed
    builders evaluate a compiled expression row by row into an unboxed
-   column.  A field whose compiled type disagrees with the inferred
-   output schema (e.g. all-int arithmetic, which the schema declares
-   float but the row engine materializes as [Int] values) has no exact
-   columnar representation — the whole projection falls back. *)
+   column.  A field {!Vexpr} cannot compile to the schema's type makes
+   the whole projection fall back to the row-at-a-time path. *)
 type field_plan =
   | PCopy of int
   | PF of (int -> float) * (int -> bool)
@@ -263,46 +266,36 @@ let project ?pool ?par_threshold fields rel =
   let schema = rel.Relation.schema in
   let out_schema = project_schema fields schema in
   let name = Printf.sprintf "project(%s)" rel.Relation.name in
-  let vectorized =
-    match Relation.store rel with
-    | Relation.Cols c ->
-        let plans =
-          List.mapi
-            (fun i (_, e) ->
-              plan_field schema c.Relation.ccols (Schema.column_ty out_schema i) e)
-            fields
-        in
-        if List.for_all Option.is_some plans then
-          let ccols =
-            Array.of_list
-              (List.mapi
-                 (fun i plan ->
-                   build_field c (Option.get plan) (Schema.column_ty out_schema i))
-                 plans)
-          in
-          let clineage =
-            match c.Relation.clineage with
-            | Relation.Identity -> Relation.Identity
-            | Relation.Explicit ls -> Relation.Explicit (Array.map Column.copy ls)
-          in
-          Some
-            (Relation.derived_cols ~name out_schema rel.Relation.lineage_schema
-               { Relation.cn = c.Relation.cn; ccols; clineage })
-        else None
-    | Relation.Rows _ -> None
+  let c = rel.Relation.cols in
+  let plans =
+    List.mapi
+      (fun i (_, e) ->
+        plan_field schema c.Relation.ccols (Schema.column_ty out_schema i) e)
+      fields
   in
   let out =
-    match vectorized with
-    | Some out -> out
-    | None ->
-        let evals = List.map (fun (_, e) -> Expr.bind schema e) fields in
-        let out =
-          Relation.derived ~name out_schema rel.Relation.lineage_schema
-        in
-        chunked_scan ?pool ?par_threshold rel out (fun push tup ->
-            let values = Array.of_list (List.map (fun f -> f tup) evals) in
-            push (Tuple.with_values tup values));
-        out
+    if List.for_all Option.is_some plans then
+      let ccols =
+        Array.of_list
+          (List.mapi
+             (fun i plan ->
+               build_field c (Option.get plan) (Schema.column_ty out_schema i))
+             plans)
+      in
+      let clineage =
+        match c.Relation.clineage with
+        | Relation.Identity -> Relation.Identity
+        | Relation.Explicit ls -> Relation.Explicit (Array.map Column.copy ls)
+      in
+      Relation.derived_cols ~name out_schema rel.Relation.lineage_schema
+        { Relation.cn = c.Relation.cn; ccols; clineage }
+    else
+      let evals = List.map (fun (_, e) -> Expr.bind schema e) fields in
+      let out = Relation.derived ~name out_schema rel.Relation.lineage_schema in
+      chunked_scan ?pool ?par_threshold rel out (fun push tup ->
+          let values = Array.of_list (List.map (fun f -> f tup) evals) in
+          push (Tuple.with_values tup values));
+      out
   in
   account c_project ~inputs:[ rel ] out
 
@@ -316,10 +309,15 @@ let join_output a b =
   in
   Relation.derived ~name:(joined_name a b) schema lschema
 
+(* The nested-loop operators materialize the inner side's tuples once,
+   not once per outer row. *)
+let tuples rel = Array.init (Relation.cardinality rel) (Relation.tuple rel)
+
 let cross a b =
   let out = join_output a b in
+  let bs = tuples b in
   Relation.iter
-    (fun ta -> Relation.iter (fun tb -> Relation.append_tuple out (Tuple.concat ta tb)) b)
+    (fun ta -> Array.iter (fun tb -> Relation.append_tuple out (Tuple.concat ta tb)) bs)
     a;
   account c_cross ~inputs:[ a; b ] out
 
@@ -329,8 +327,9 @@ let cross a b =
    [Float 1.]), so the chain-hash join below emits exactly the pairs,
    in exactly the order, of the row-path join. *)
 let int_key_col rel key =
-  match (Relation.store rel, key) with
-  | Relation.Cols c, Expr.Col name -> begin
+  let c = rel.Relation.cols in
+  match key with
+  | Expr.Col name -> begin
       match Schema.find_index rel.Relation.schema name with
       | Some j when Column.ty c.Relation.ccols.(j) = Value.TInt ->
           Some (c, c.Relation.ccols.(j))
@@ -458,13 +457,14 @@ let equi_join ~left_key ~right_key a b =
 let theta_join pred a b =
   let out = join_output a b in
   let keep = Expr.bind_predicate out.Relation.schema pred in
+  let bs = tuples b in
   Relation.iter
     (fun ta ->
-      Relation.iter
+      Array.iter
         (fun tb ->
           let joined = Tuple.concat ta tb in
           if keep joined then Relation.append_tuple out joined)
-        b)
+        bs)
     a;
   account c_theta_join ~inputs:[ a; b ] out
 
@@ -522,115 +522,3 @@ let distinct rel =
       end)
     rel;
   account c_distinct ~inputs:[ rel ] out
-
-type agg = Sum of Expr.t | Count | Avg of Expr.t | Min of Expr.t | Max of Expr.t
-
-type agg_state = {
-  mutable count : int;
-  mutable sum : float;
-  mutable min_v : float;
-  mutable max_v : float;
-}
-
-let state_create () =
-  { count = 0; sum = 0.0; min_v = infinity; max_v = neg_infinity }
-
-let state_add st x =
-  st.count <- st.count + 1;
-  st.sum <- st.sum +. x;
-  if x < st.min_v then st.min_v <- x;
-  if x > st.max_v then st.max_v <- x
-
-let agg_expr = function
-  | Sum e | Avg e | Min e | Max e -> Some e
-  | Count -> None
-
-let finish agg st =
-  match agg with
-  | Sum _ -> st.sum
-  | Count -> float_of_int st.count
-  | Avg _ ->
-      if st.count = 0 then invalid_arg "Ops.aggregate: AVG of empty input"
-      else st.sum /. float_of_int st.count
-  | Min _ ->
-      if st.count = 0 then invalid_arg "Ops.aggregate: MIN of empty input"
-      else st.min_v
-  | Max _ ->
-      if st.count = 0 then invalid_arg "Ops.aggregate: MAX of empty input"
-      else st.max_v
-
-let aggregate agg rel =
-  let st = state_create () in
-  begin
-    match agg_expr agg with
-    | None -> Relation.iter (fun _ -> state_add st 1.0) rel
-    | Some e ->
-        let f = Expr.bind rel.Relation.schema e in
-        Relation.iter
-          (fun tup ->
-            match f tup with
-            | Value.Null -> ()
-            | v -> state_add st (Value.to_float v))
-          rel
-  end;
-  finish agg st
-
-let group_by ~keys ~aggs rel =
-  let schema = rel.Relation.schema in
-  let key_fns = Array.of_list (List.map (Expr.bind schema) keys) in
-  let agg_fns =
-    Array.of_list
-      (List.map
-         (fun (_, a) -> (a, Option.map (Expr.bind schema) (agg_expr a)))
-         aggs)
-  in
-  (* Group on the key values themselves (one small array per tuple) rather
-     than on per-tuple display-string lists; rendering happens once per
-     group at emission. *)
-  let groups : agg_state array VsTbl.t = VsTbl.create 64 in
-  let order = Vec.create () in
-  Relation.iter
-    (fun tup ->
-      let key = Array.map (fun f -> f tup) key_fns in
-      let states =
-        match VsTbl.find_opt groups key with
-        | Some states -> states
-        | None ->
-            let states = Array.map (fun _ -> state_create ()) agg_fns in
-            VsTbl.add groups key states;
-            Vec.push order key;
-            states
-      in
-      Array.iteri
-        (fun i st ->
-          match snd agg_fns.(i) with
-          | None -> state_add st 1.0
-          | Some f -> begin
-              match f tup with
-              | Value.Null -> ()
-              | v -> state_add st (Value.to_float v)
-            end)
-        states)
-    rel;
-  let key_cols =
-    List.mapi (fun i _ -> { Schema.name = Printf.sprintf "k%d" i; ty = Value.TStr }) keys
-  in
-  let agg_cols =
-    List.map (fun (name, _) -> { Schema.name; ty = Value.TFloat }) aggs
-  in
-  let out_schema = Schema.make (key_cols @ agg_cols) in
-  let out = Relation.derived ~name:"group_by" out_schema Lineage.schema_empty in
-  Vec.iter
-    (fun key ->
-      let states = VsTbl.find groups key in
-      let nk = Array.length key in
-      let row =
-        Array.init
-          (nk + Array.length states)
-          (fun i ->
-            if i < nk then Value.Str (Value.to_display key.(i))
-            else Value.Float (finish (fst agg_fns.(i - nk)) states.(i - nk)))
-      in
-      Relation.append_tuple out (Tuple.make row [||]))
-    order;
-  account c_group_by ~inputs:[ rel ] out

@@ -2,7 +2,13 @@
 
     Every operator propagates lineage per Section 6.2 of the paper:
     selection/projection keep it, joins concatenate it.  Inputs are never
-    mutated. *)
+    mutated.
+
+    Selection, projection and the equi-join on int key columns run as
+    vectorized kernels over the columns; other predicates, expressions
+    {!Vexpr} refuses and non-int keys fall back to a row-at-a-time path
+    with identical results.  [cross], [theta_join], the unions and
+    [distinct] are row-at-a-time.  Every output is columnar. *)
 
 val select : ?pool:Gus_util.Pool.t -> ?par_threshold:int -> Expr.t -> Relation.t -> Relation.t
 
@@ -23,9 +29,11 @@ val project :
 
 val project_schema : (string * Expr.t) list -> Schema.t -> Schema.t
 (** The output schema {!project} derives for [fields] over an input
-    [schema] (column types inferred from expression shape).  Exposed for
-    streaming executors that must know the post-projection schema without
-    materializing anything. *)
+    [schema]: column types inferred from expression shape, with
+    arithmetic over int operands typed int and other arithmetic float,
+    as {!Value} evaluates them.  Exposed for streaming executors that
+    must know the post-projection schema without materializing
+    anything. *)
 
 val select_indices :
   ?pool:Gus_util.Pool.t ->
@@ -39,19 +47,6 @@ val select_indices :
     par_threshold] the range is cut into {!Gus_util.Pool.chunks},
     evaluated in parallel, and stitched back in chunk order, so the
     result never depends on the lane count.  [keep] must be pure. *)
-
-val chunked_scan :
-  ?pool:Gus_util.Pool.t ->
-  ?par_threshold:int ->
-  Relation.t ->
-  Relation.t ->
-  ((Tuple.t -> unit) -> Tuple.t -> unit) ->
-  unit
-(** [chunked_scan ?pool rel out body] appends to [out] whatever
-    [body push tup] pushes, for every tuple of [rel] in order — the
-    fan-out/stitch engine behind {!select}/{!project}, exposed for other
-    per-tuple operators (e.g. samplers).  [body] is called from pool
-    lanes: its closures must be pure. *)
 
 val cross : Relation.t -> Relation.t -> Relation.t
 
@@ -70,14 +65,3 @@ val union_lineage : Relation.t -> Relation.t -> Relation.t
 
 val distinct : Relation.t -> Relation.t
 (** Distinct by values (not lineage); keeps the first witness. *)
-
-type agg = Sum of Expr.t | Count | Avg of Expr.t | Min of Expr.t | Max of Expr.t
-
-val aggregate : agg -> Relation.t -> float
-(** Whole-relation aggregate; SUM/AVG/MIN/MAX read the expression as float
-    with Null → skipped.  MIN/MAX on an empty input raise
-    [Invalid_argument]. *)
-
-val group_by : keys:Expr.t list -> aggs:(string * agg) list -> Relation.t -> Relation.t
-(** Output columns: one per key (named k0, k1, …) then one per aggregate.
-    Output lineage is empty (grouped rows have no single lineage). *)

@@ -60,30 +60,17 @@ let pad8 n = (8 - (n land 7)) land 7
 
 (* ---- writer ---- *)
 
-(* A snapshot stores base relations as columns.  Identity-lineage
-   columnar bases serialize as-is; a row-backed base (e.g. built by a
-   test with [~storage:`Rows]) is converted on the way out.  Derived
-   relations have no place in a catalog snapshot. *)
-let columnar_base rel =
+(* A snapshot stores base relations as columns, without lineage: loading
+   gives every row its row id, whatever lineage a tuple appended to the
+   base carried.  Derived relations have no place in a catalog
+   snapshot. *)
+let check_base rel =
   if not (Lineage.schema_equal rel.Relation.lineage_schema
             (Lineage.schema_of rel.Relation.name))
   then
     invalid_arg
       (Printf.sprintf "Snapshot.save: %s is not a base relation"
-         rel.Relation.name);
-  match Relation.store rel with
-  | Relation.Cols ({ clineage = Relation.Identity; _ } as c) -> c
-  | _ ->
-      let base =
-        Relation.create_base ~capacity:(max 16 (Relation.cardinality rel))
-          ~name:rel.Relation.name rel.Relation.schema
-      in
-      Relation.iter
-        (fun tup -> Relation.append_row base tup.Tuple.values)
-        rel;
-      (match Relation.store base with
-      | Relation.Cols c -> c
-      | Relation.Rows _ -> assert false)
+         rel.Relation.name)
 
 let save ~path db =
   let oc = open_out_bin path in
@@ -110,7 +97,8 @@ let save ~path db =
   List.iter
     (fun name ->
       let rel = Database.find db name in
-      let c = columnar_base rel in
+      check_base rel;
+      let c = rel.Relation.cols in
       let n = c.Relation.cn in
       wstr name;
       wint (Array.length c.Relation.ccols);
@@ -286,9 +274,7 @@ let load ~path =
         { Relation.name;
           schema;
           lineage_schema = Lineage.schema_of name;
-          store =
-            Relation.Cols
-              { Relation.cn = nrows; ccols; clineage = Relation.Identity } }
+          cols = { Relation.cn = nrows; ccols; clineage = Relation.Identity } }
       in
       try Database.add db rel
       with Invalid_argument m -> format_error "corrupt snapshot: %s" m)

@@ -25,8 +25,8 @@ val version : int
 
 val save : path:string -> Database.t -> unit
 (** Serialize all relations.  Raises [Invalid_argument] if the database
-    holds a non-base relation; row-backed base relations are converted
-    to columns on the way out. *)
+    holds a non-base relation.  Lineage is not stored: loaded relations
+    carry row-id lineage. *)
 
 val load : path:string -> Database.t
 (** Parse and map [path].  Raises {!Format_error} or

@@ -104,11 +104,13 @@ let hash = function
       else Hashtbl.hash f
   | Str s -> Int64.to_int (Gus_util.Hashing.hash_string ~seed:11 s)
 
-let pp ppf = function
-  | Null -> Format.pp_print_string ppf "NULL"
-  | Bool b -> Format.pp_print_bool ppf b
-  | Int i -> Format.pp_print_int ppf i
-  | Float f -> Format.fprintf ppf "%g" f
-  | Str s -> Format.fprintf ppf "%s" s
+(* Rendered without a formatter: SQL GROUP BY renders every key of
+   every sampled row. *)
+let to_display = function
+  | Null -> "NULL"
+  | Bool b -> string_of_bool b
+  | Int i -> string_of_int i
+  | Float f -> Printf.sprintf "%g" f
+  | Str s -> s
 
-let to_display v = Format.asprintf "%a" pp v
+let pp ppf v = Format.pp_print_string ppf (to_display v)

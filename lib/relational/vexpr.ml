@@ -22,8 +22,7 @@
 
    Anything whose row-path behavior depends on per-row dynamic typing in
    a way a static compile can't mirror (e.g. arithmetic on a string
-   column raises only on non-NULL rows, int arithmetic that the
-   projection schema declares as float) compiles to [None]; callers fall
+   column raises only on non-NULL rows) compiles to [None]; callers fall
    back to the row engine. *)
 
 type vec =

@@ -17,22 +17,19 @@ let apply dims rel =
     | _ -> invalid_arg (Printf.sprintf "Subsample: duplicate dimension for %s" name)
   in
   let slot_dims = Array.map find schema in
-  let out =
-    Relation.derived
-      ~name:(Printf.sprintf "subsample(%s)" rel.Relation.name)
-      rel.Relation.schema schema
+  let kept row =
+    let keep = ref true in
+    Array.iteri
+      (fun i d ->
+        if !keep && Hashing.prf_float ~seed:d.seed (Relation.lineage_id rel ~slot:i row) >= d.p
+        then keep := false)
+      slot_dims;
+    !keep
   in
-  Relation.iter
-    (fun tup ->
-      let keep = ref true in
-      Array.iteri
-        (fun i d ->
-          if !keep && Hashing.prf_float ~seed:d.seed tup.Tuple.lineage.(i) >= d.p
-          then keep := false)
-        slot_dims;
-      if !keep then Relation.append_tuple out tup)
-    rel;
-  out
+  let idx, count = Ops.select_indices kept (Relation.cardinality rel) in
+  Relation.gather_rows
+    ~name:(Printf.sprintf "subsample(%s)" rel.Relation.name)
+    rel idx count
 
 let plan_rates ~target ~current ~ndims =
   if ndims <= 0 then invalid_arg "Subsample.plan_rates: ndims <= 0";

@@ -1,4 +1,5 @@
 open Gus_relational
+module Vec = Gus_util.Vec
 module Splan = Gus_core.Splan
 module Rewrite = Gus_analysis.Rewrite
 module Sbox = Gus_estimator.Sbox
@@ -76,29 +77,39 @@ let eval_item_report ~gus sample item =
 let eval_item ~gus sample item = fst (eval_item_report ~gus sample item)
 
 (* Partition a relation into per-group sub-relations by rendered key
-   values, preserving first-seen group order. *)
+   values: one pass records each row's group (first-seen order), then
+   each group gathers its rows' columns, in input order. *)
 let partition_groups keys rel =
-  let evals = List.map (Expr.bind rel.Relation.schema) keys in
-  let groups : (string list, Relation.t) Hashtbl.t = Hashtbl.create 32 in
-  let order = ref [] in
-  Relation.iter
-    (fun tup ->
-      let k = List.map (fun ev -> Value.to_display (ev tup)) evals in
-      let sub =
-        match Hashtbl.find_opt groups k with
-        | Some r -> r
-        | None ->
-            let r =
-              Relation.derived ~name:"group" rel.Relation.schema
-                rel.Relation.lineage_schema
-            in
-            Hashtbl.add groups k r;
-            order := k :: !order;
-            r
-      in
-      Relation.append_tuple sub tup)
-    rel;
-  List.rev_map (fun k -> (k, Hashtbl.find groups k)) !order
+  let evals = List.map (Relation.bind rel) keys in
+  let n = Relation.cardinality rel in
+  let ids : (string list, int) Hashtbl.t = Hashtbl.create 32 in
+  let order = Vec.create () and sizes = Vec.create () in
+  let group_of = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let k = List.map (fun ev -> Value.to_display (ev i)) evals in
+    let g =
+      match Hashtbl.find_opt ids k with
+      | Some g -> g
+      | None ->
+          let g = Vec.length order in
+          Hashtbl.add ids k g;
+          Vec.push order k;
+          Vec.push sizes 0;
+          g
+    in
+    group_of.(i) <- g;
+    Vec.set sizes g (Vec.get sizes g + 1)
+  done;
+  let idx = Array.map (fun size -> Array.make size 0) (Vec.to_array sizes) in
+  let filled = Array.make (Array.length idx) 0 in
+  Array.iteri
+    (fun i g ->
+      idx.(g).(filled.(g)) <- i;
+      filled.(g) <- filled.(g) + 1)
+    group_of;
+  List.mapi
+    (fun g k -> (k, Relation.gather_rows ~name:"group" rel idx.(g) filled.(g)))
+    (Vec.to_list order)
 
 (* The plan's live design.  Executions of one prepared plan may run on
    several domains at once (a pooled batch), and forcing one lazy value

@@ -1,0 +1,144 @@
+(* The boxed row engine the library no longer carries, kept as the test
+   oracle for its columnar kernels.  A relation is a [Tuple.t array] and
+   every operator is the plain tuple-at-a-time evaluation: select and
+   project through [Expr.bind], the equi-join as nested loops that build
+   on the smaller side and emit each probe row's matches in build order,
+   and every sampler drawing from the RNG in row order — the pooled
+   Bernoulli as one derived child stream per fixed 4096-row block.
+   [Ops] and [Sampler] are held against these bit for bit: the same
+   values, lineage, row order and exceptions. *)
+
+open Gus_relational
+module Rng = Gus_util.Rng
+module Hashing = Gus_util.Hashing
+module Sampler = Gus_sampling.Sampler
+module Splan = Gus_core.Splan
+
+type t = {
+  name : string;
+  schema : Schema.t;
+  lineage_schema : Lineage.schema;
+  rows : Tuple.t array;
+}
+
+let of_relation rel =
+  { name = rel.Relation.name;
+    schema = rel.Relation.schema;
+    lineage_schema = rel.Relation.lineage_schema;
+    rows = Array.init (Relation.cardinality rel) (Relation.tuple rel) }
+
+let filter keep rows = Array.of_list (List.filter keep (Array.to_list rows))
+
+let select pred r =
+  let keep = Expr.bind_predicate r.schema pred in
+  { r with name = Printf.sprintf "select(%s)" r.name; rows = filter keep r.rows }
+
+let project fields r =
+  let schema = Ops.project_schema fields r.schema in
+  let evals = List.map (fun (_, e) -> Expr.bind r.schema e) fields in
+  { r with
+    name = Printf.sprintf "project(%s)" r.name;
+    schema;
+    rows =
+      Array.map
+        (fun tup ->
+          Tuple.with_values tup (Array.of_list (List.map (fun f -> f tup) evals)))
+        r.rows }
+
+let equi_join ~left_key ~right_key a b =
+  let schema = Schema.concat a.schema b.schema in
+  let lineage_schema = Lineage.schema_concat a.lineage_schema b.lineage_schema in
+  let lkey = Expr.bind a.schema left_key in
+  let rkey = Expr.bind b.schema right_key in
+  let build, probe, build_key, probe_key, build_left =
+    if Array.length a.rows <= Array.length b.rows then (a, b, lkey, rkey, true)
+    else (b, a, rkey, lkey, false)
+  in
+  let out = ref [] in
+  Array.iter
+    (fun ptup ->
+      let k = probe_key ptup in
+      if not (Value.is_null k) then
+        Array.iter
+          (fun btup ->
+            let bk = build_key btup in
+            if (not (Value.is_null bk)) && Value.equal bk k then
+              out :=
+                (if build_left then Tuple.concat btup ptup else Tuple.concat ptup btup)
+                :: !out)
+          build.rows)
+    probe.rows;
+  { name = Printf.sprintf "(%s*%s)" a.name b.name;
+    schema;
+    lineage_schema;
+    rows = Array.of_list (List.rev !out) }
+
+(* [pooled]: the input reached the library's pooled Bernoulli path (a
+   live pool and at least [par_threshold] rows). *)
+let sample ~pooled s rng r =
+  Sampler.validate s;
+  let named suffix rows = { r with name = Printf.sprintf "%s(%s)" suffix r.name; rows } in
+  let card = Array.length r.rows in
+  match s with
+  | Sampler.Bernoulli p when pooled ->
+      let master = Rng.split rng in
+      let rows_per_stream = 4096 in
+      let kept = ref [] in
+      for b = 0 to ((card + rows_per_stream - 1) / rows_per_stream) - 1 do
+        let brng = Rng.derive master b in
+        for i = b * rows_per_stream to min card ((b + 1) * rows_per_stream) - 1 do
+          if Rng.bernoulli brng p then kept := r.rows.(i) :: !kept
+        done
+      done;
+      named "sample" (Array.of_list (List.rev !kept))
+  | Sampler.Bernoulli p -> named "sample" (filter (fun _ -> Rng.bernoulli rng p) r.rows)
+  | Sampler.Wor n ->
+      let idx = Rng.sample_without_replacement rng (min n card) card in
+      Array.sort compare idx;
+      named "sample" (Array.map (fun i -> r.rows.(i)) idx)
+  | Sampler.Wr n ->
+      named "sample"
+        (if card = 0 then [||] else Array.init n (fun _ -> r.rows.(Rng.int rng card)))
+  | Sampler.Block { rows_per_block; p } ->
+      let keep =
+        Array.init ((card + rows_per_block - 1) / rows_per_block) (fun _ ->
+            Rng.bernoulli rng p)
+      in
+      named "blocksample"
+        (Array.of_list
+           (List.filter_map
+              (fun tup ->
+                let block = tup.Tuple.lineage.(0) / rows_per_block in
+                if keep.(block) then begin
+                  let lineage = Array.copy tup.Tuple.lineage in
+                  lineage.(0) <- block;
+                  Some { tup with Tuple.lineage }
+                end
+                else None)
+              (Array.to_list r.rows)))
+  | Sampler.Hash_bernoulli { seed; p } ->
+      named "hashsample"
+        (filter (fun tup -> Hashing.prf_float ~seed tup.Tuple.lineage.(0) < p) r.rows)
+
+(* Plan evaluation over base relations, children evaluated right before
+   left as [Splan.exec] does, so the RNG sees the same draw order.
+   [pooled]: the library ran with a live pool, so each sampler input of
+   at least the default threshold took the pooled path. *)
+let rec exec ~pooled db rng plan =
+  let go = exec ~pooled db rng in
+  match plan with
+  | Splan.Scan name -> of_relation (Database.find db name)
+  | Splan.Select (pred, q) -> select pred (go q)
+  | Splan.Project (fields, q) -> project fields (go q)
+  | Splan.Equi_join { left; right; left_key; right_key } ->
+      let r = go right in
+      let l = go left in
+      equi_join ~left_key ~right_key l r
+  | Splan.Sample (s, q) ->
+      let input = go q in
+      let pooled =
+        pooled && Array.length input.rows >= Gus_util.Pool.default_par_threshold
+      in
+      sample ~pooled s rng input
+  | Splan.Theta_join _ | Splan.Cross _ | Splan.Distinct _ | Splan.Union_samples _ ->
+      invalid_arg "Row_oracle.exec: operator outside the oracle"

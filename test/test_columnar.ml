@@ -1,23 +1,24 @@
 (* Columnar-engine parity suite.
 
-   The columnar store and its vectorized kernels must be observationally
-   identical — same values bit for bit, same lineage, same row order,
-   same exceptions — to the boxed row engine ([~storage:`Rows], the seed
-   implementation kept as the test oracle).  Random relations include
-   NULLs, dictionary-encoded strings, negative zero and empty inputs;
-   random expressions include arithmetic that raises (division by zero)
-   and unknown columns, because "identical" covers the failure paths too.
+   The columnar store and its kernels must be observationally identical —
+   same values bit for bit, same lineage, same row order, same
+   exceptions — to the boxed row engine kept as the test oracle
+   ([Row_oracle]).  Random relations include NULLs, dictionary-encoded
+   strings, negative zero and empty inputs; random expressions include
+   arithmetic that raises (division by zero) and unknown columns,
+   because "identical" covers the failure paths too.
 
-   1. QCheck: select / project / equi-join outputs identical across
-      storages for pools {none, 1, 2, 4}.
-   2. QCheck: every sampler draws the identical sample on both storages
-      from the same seed (pooled Bernoulli included, per pool size).
+   1. QCheck: select / project / equi-join outputs equal the oracle's
+      for pools {none, 1, 2, 4}, on the vectorized and the fallback
+      paths.
+   2. QCheck: every sampler draws the oracle's sample from the same seed
+      (pooled Bernoulli included, per pool size).
    3. Snapshot: save → load round-trips bit-identically (values, lineage,
       schema), re-saving the loaded database is byte-identical, mapped
       columns are copy-on-append, and corrupt/versioned files raise the
       documented exceptions.
-   4. Streaming SBox: Query-1 estimates on columnar and row databases are
-      bit-identical and still pinned to the seed implementation's value. *)
+   4. Streaming SBox: Query-1 estimates equal the oracle's bit for bit
+      and are still pinned to the seed implementation's value. *)
 
 module Rng = Gus_util.Rng
 module Pool = Gus_util.Pool
@@ -57,24 +58,25 @@ let schema_eq a b =
                  && Schema.column_ty a j = Schema.column_ty b j)
        (List.init (Schema.arity a) Fun.id)
 
-let rel_eq a b =
-  a.Relation.name = b.Relation.name
-  && schema_eq a.Relation.schema b.Relation.schema
-  && a.Relation.lineage_schema = b.Relation.lineage_schema
-  && Relation.cardinality a = Relation.cardinality b
-  && (let ok = ref true in
-      for i = 0 to Relation.cardinality a - 1 do
-        let ta = Relation.tuple a i and tb = Relation.tuple b i in
-        if
-          not
-            (Array.length ta.Tuple.values = Array.length tb.Tuple.values
-            && Array.for_all2 value_eq ta.Tuple.values tb.Tuple.values
-            && ta.Tuple.lineage = tb.Tuple.lineage)
-        then ok := false
-      done;
-      !ok)
+let tuple_eq (ta : Tuple.t) (tb : Tuple.t) =
+  Array.length ta.Tuple.values = Array.length tb.Tuple.values
+  && Array.for_all2 value_eq ta.Tuple.values tb.Tuple.values
+  && ta.Tuple.lineage = tb.Tuple.lineage
 
-(* Run both engines and demand the same outcome — result or exception. *)
+let oracle_eq (a : Row_oracle.t) (b : Row_oracle.t) =
+  a.Row_oracle.name = b.Row_oracle.name
+  && schema_eq a.Row_oracle.schema b.Row_oracle.schema
+  && a.Row_oracle.lineage_schema = b.Row_oracle.lineage_schema
+  && Array.length a.Row_oracle.rows = Array.length b.Row_oracle.rows
+  && Array.for_all2 tuple_eq a.Row_oracle.rows b.Row_oracle.rows
+
+(* A columnar relation equals an oracle relation when its tuples, read
+   back through the row API, do. *)
+let matches rel o = oracle_eq (Row_oracle.of_relation rel) o
+let rel_eq a b = oracle_eq (Row_oracle.of_relation a) (Row_oracle.of_relation b)
+
+(* Run the kernel and the oracle and demand the same outcome — result or
+   exception. *)
 let outcome f =
   match f () with
   | r -> Ok r
@@ -85,11 +87,11 @@ let outcome f =
 
 let outcomes_agree a b =
   match (a, b) with
-  | Ok ra, Ok rb -> rel_eq ra rb
+  | Ok rel, Ok o -> matches rel o
   | Error ma, Error mb -> ma = mb
   | _ -> false
 
-(* ---- random relations (both storages, same data) ---- *)
+(* ---- random relations (columnar and oracle, same data) ---- *)
 
 let dict = [| "alpha"; "beta"; "gamma"; "delta" |]
 
@@ -122,14 +124,25 @@ let schema_r =
       { Schema.name = "rs"; ty = Value.TStr };
       { Schema.name = "rb"; ty = Value.TBool } ]
 
-let build ?(schema = schema) ~name storage codes =
-  let rel = Relation.create_base ~storage ~name schema in
+let build ?(schema = schema) ~name codes =
+  let rel = Relation.create_base ~name schema in
   List.iter
     (fun row -> Relation.append_row rel (Array.mapi value_of_code row))
     codes;
   rel
 
-let both_storages ~name codes = (build ~name `Cols codes, build ~name `Rows codes)
+(* The same data as a columnar base and as oracle rows, the latter built
+   straight from the codes, not read back through the columns. *)
+let with_oracle ?(schema = schema) ~name codes =
+  ( build ~schema ~name codes,
+    { Row_oracle.name;
+      schema;
+      lineage_schema = Lineage.schema_of name;
+      rows =
+        Array.of_list
+          (List.mapi
+             (fun i row -> Tuple.make (Array.mapi value_of_code row) [| i |])
+             codes) } )
 
 let rows_gen =
   QCheck2.Gen.(list_size (int_range 0 80) (array_size (pure 4) (int_range 0 1000)))
@@ -181,16 +194,15 @@ let prop_select_parity =
     ~print:print_case
     QCheck2.Gen.(pair rows_gen (expr_gen 3))
     (fun (codes, e) ->
-      let c, r = both_storages ~name:"t" codes in
+      let c, o = with_oracle ~name:"t" codes in
+      let oracle = outcome (fun () -> Row_oracle.select e o) in
       List.for_all
         (fun psize ->
           outcomes_agree
             (outcome (fun () ->
                  with_pool psize (fun ?pool () ->
                      Ops.select ?pool ~par_threshold:8 e c)))
-            (outcome (fun () ->
-                 with_pool psize (fun ?pool () ->
-                     Ops.select ?pool ~par_threshold:8 e r))))
+            oracle)
         pools)
 
 let prop_project_parity =
@@ -200,58 +212,64 @@ let prop_project_parity =
         (Expr.to_string e2))
     QCheck2.Gen.(triple rows_gen (expr_gen 2) (expr_gen 2))
     (fun (codes, e1, e2) ->
-      let c, r = both_storages ~name:"t" codes in
+      let c, o = with_oracle ~name:"t" codes in
       let fields = [ ("a", e1); ("b", e2); ("f2", Expr.col "f") ] in
+      let oracle = outcome (fun () -> Row_oracle.project fields o) in
       List.for_all
         (fun psize ->
           outcomes_agree
             (outcome (fun () ->
                  with_pool psize (fun ?pool () ->
                      Ops.project ?pool ~par_threshold:8 fields c)))
-            (outcome (fun () ->
-                 with_pool psize (fun ?pool () ->
-                     Ops.project ?pool ~par_threshold:8 fields r))))
+            oracle)
         pools)
 
 let prop_join_parity =
-  QCheck2.Test.make ~name:"equi-join: cols = rows (mixed storages)" ~count:150
+  QCheck2.Test.make ~name:"equi-join: cols = rows (both key paths)" ~count:150
     ~print:(fun (a, b) ->
       Printf.sprintf "left=%d right=%d" (List.length a) (List.length b))
     QCheck2.Gen.(pair rows_gen rows_gen)
     (fun (acodes, bcodes) ->
-      let ac, ar = both_storages ~name:"l" acodes in
-      let bc = build ~schema:schema_r ~name:"r" `Cols bcodes
-      and br = build ~schema:schema_r ~name:"r" `Rows bcodes in
-      let join a b =
-        outcome (fun () ->
-            Ops.equi_join ~left_key:(Expr.col "i") ~right_key:(Expr.col "ri") a b)
-      in
-      let oracle = join ar br in
-      (* The vectorized build/probe kernel (cols x cols) and the row
-         fallback (either side row-backed) must agree exactly: same
-         output rows in the same order, NULL keys never matching. *)
-      outcomes_agree (join ac bc) oracle
-      && outcomes_agree (join ac br) oracle
-      && outcomes_agree (join ar bc) oracle)
+      let ac, ao = with_oracle ~name:"l" acodes in
+      let bc, bo = with_oracle ~schema:schema_r ~name:"r" bcodes in
+      (* The int-key build/probe kernel and the [Value]-keyed fallback
+         (float, string and mixed int/float keys) must both match the
+         oracle: same output rows in the same order, NULL keys never
+         matching, [Int 1] matching [Float 1.] on the fallback. *)
+      List.for_all
+        (fun (lk, rk) ->
+          let left_key = Expr.col lk and right_key = Expr.col rk in
+          outcomes_agree
+            (outcome (fun () -> Ops.equi_join ~left_key ~right_key ac bc))
+            (outcome (fun () -> Row_oracle.equi_join ~left_key ~right_key ao bo)))
+        [ ("i", "ri"); ("f", "rf"); ("s", "rs"); ("i", "rf") ])
 
 let prop_column_values_parity =
   QCheck2.Test.make ~name:"column_values/sum_column: cols = rows" ~count:150
     ~print:(fun codes -> Printf.sprintf "n=%d" (List.length codes))
     rows_gen
     (fun codes ->
-      let c, r = both_storages ~name:"t" codes in
+      let c, o = with_oracle ~name:"t" codes in
+      let oracle_values j =
+        Array.map (fun tup -> Tuple.value tup j) o.Row_oracle.rows
+      in
+      (* The row engine's SUM: NULLs skipped, the rest read as floats. *)
+      let oracle_sum j =
+        Array.fold_left
+          (fun acc v -> match v with Value.Null -> acc | v -> acc +. Value.to_float v)
+          0.0 (oracle_values j)
+      in
       List.for_all
-        (fun col ->
-          let vc = Relation.column_values c col
-          and vr = Relation.column_values r col in
-          Array.length vc = Array.length vr && Array.for_all2 value_eq vc vr)
-        [ "f"; "i"; "s"; "b" ]
+        (fun (j, col) ->
+          let vc = Relation.column_values c col and vo = oracle_values j in
+          Array.length vc = Array.length vo && Array.for_all2 value_eq vc vo)
+        [ (0, "f"); (1, "i"); (2, "s"); (3, "b") ]
       && Int64.equal
            (Int64.bits_of_float (Relation.sum_column c "f"))
-           (Int64.bits_of_float (Relation.sum_column r "f"))
+           (Int64.bits_of_float (oracle_sum 0))
       && Int64.equal
            (Int64.bits_of_float (Relation.sum_column c "i"))
-           (Int64.bits_of_float (Relation.sum_column r "i")))
+           (Int64.bits_of_float (oracle_sum 1)))
 
 (* ---- 2. sampler parity ---- *)
 
@@ -270,16 +288,17 @@ let prop_sampler_parity =
       Printf.sprintf "n=%d seed=%d" (List.length codes) seed)
     QCheck2.Gen.(pair rows_gen (int_range 0 1000))
     (fun (codes, seed) ->
-      let c, r = both_storages ~name:"t" codes in
+      let c, o = with_oracle ~name:"t" codes in
       List.for_all
         (fun s ->
           List.for_all
             (fun psize ->
-              let run rel =
+              let got =
                 with_pool psize (fun ?pool () ->
-                    Sampler.apply ?pool ~par_threshold:8 s (Rng.create seed) rel)
+                    Sampler.apply ?pool ~par_threshold:8 s (Rng.create seed) c)
               in
-              rel_eq (run c) (run r))
+              let pooled = psize <> None && List.length codes >= 8 in
+              matches got (Row_oracle.sample ~pooled s (Rng.create seed) o))
             pools)
         (samplers (List.length codes)))
 
@@ -298,12 +317,15 @@ let mixed_db () =
   let codes n =
     List.init n (fun _ -> Array.init 4 (fun _ -> Rng.int rng 1000))
   in
-  Database.add db (build ~name:"t" `Cols (codes 257));
-  (* A row-backed base must be converted on save, an empty relation must
-     round-trip, and an all-NULL column exercises the bitmap path. *)
-  Database.add db (build ~name:"rowbacked" `Rows (codes 41));
-  Database.add db (build ~name:"empty" `Cols []);
-  Database.add db (build ~name:"allnull" `Cols [ [| 0; 0; 0; 0 |]; [| 7; 7; 7; 7 |] ]);
+  Database.add db (build ~name:"t" (codes 257));
+  (* A base whose lineage went explicit must load as a plain base, an
+     empty relation must round-trip, and an all-NULL column exercises
+     the bitmap path. *)
+  Database.add db
+    (Relation.gather_rows (build ~name:"explicit" (codes 41))
+       (Array.init 41 Fun.id) 41);
+  Database.add db (build ~name:"empty" []);
+  Database.add db (build ~name:"allnull" [ [| 0; 0; 0; 0 |]; [| 7; 7; 7; 7 |] ]);
   db
 
 let test_snapshot_roundtrip () =
@@ -317,12 +339,11 @@ let test_snapshot_roundtrip () =
   List.iter
     (fun name ->
       let orig = Database.find db name and got = Database.find db' name in
-      check_bool (name ^ " bit-identical") true
-        (rel_eq (Relation.to_rows orig) (Relation.to_rows got));
-      (* Loaded relations are base columnar with identity lineage. *)
-      match Relation.store got with
-      | Relation.Cols { clineage = Relation.Identity; _ } -> ()
-      | _ -> Alcotest.fail (name ^ ": expected identity columnar store"))
+      check_bool (name ^ " bit-identical") true (rel_eq orig got);
+      (* Loaded relations are bases with identity lineage. *)
+      match got.Relation.cols.Relation.clineage with
+      | Relation.Identity -> ()
+      | Relation.Explicit _ -> Alcotest.fail (name ^ ": expected identity lineage"))
     (Database.names db);
   (* Determinism: re-saving the loaded database is byte-identical. *)
   let path2 = temp_snap () in
@@ -394,25 +415,27 @@ let test_snapshot_errors () =
 
 (* ---- 4. streaming SBox parity + pinned Query-1 ---- *)
 
-let row_copy db =
-  let out = Database.create () in
-  List.iter
-    (fun n -> Database.add out (Relation.to_rows (Database.find db n)))
-    (Database.names db);
-  out
-
 let test_stream_query1_parity () =
   let db = Harness.db_cached ~scale:0.1 in
-  let db_rows = row_copy db in
   let plan = Harness.query1_plan () in
   let gus = (Lazy.force (Rewrite.analyze_db db plan).Rewrite.gus) in
   let bits = Int64.bits_of_float in
+  (* The oracle's sample through the materializing SBox.  The streamed
+     core stays below the pool's chunking threshold, so even the pooled
+     runs accumulate in tuple order and the estimates compare bit for
+     bit. *)
+  let oracle ~pooled seed =
+    let o = Row_oracle.exec ~pooled db (Rng.create seed) plan in
+    let f = Expr.bind_float o.Row_oracle.schema Harness.revenue_f in
+    Sbox.of_pairs ~gus
+      (Array.map (fun tup -> (tup.Tuple.lineage, f tup)) o.Row_oracle.rows)
+  in
   List.iter
     (fun seed ->
       let run ?pool d =
         Sbox.of_plan ?pool ~gus ~f:Harness.revenue_f d (Rng.create seed) plan
       in
-      let c = run db and r = run db_rows in
+      let c = run db and r = oracle ~pooled:false seed in
       check_int (Printf.sprintf "seed %d: n_tuples" seed) r.Sbox.n_tuples
         c.Sbox.n_tuples;
       check_bool (Printf.sprintf "seed %d: estimate bits" seed) true
@@ -422,7 +445,7 @@ let test_stream_query1_parity () =
       List.iter
         (fun size ->
           let cp = run ~pool:(pool_of size) db
-          and rp = run ~pool:(pool_of size) db_rows in
+          and rp = oracle ~pooled:true seed in
           check_int (Printf.sprintf "seed %d pool %d: n_tuples" seed size)
             rp.Sbox.n_tuples cp.Sbox.n_tuples;
           check_bool (Printf.sprintf "seed %d pool %d: estimate bits" seed size)

@@ -157,6 +157,28 @@ let test_relation_derived_guard () =
     (try Relation.append_row r [| Value.Int 1; Value.Str "x" |]; false
      with Invalid_argument _ -> true)
 
+let test_relation_append_validates () =
+  (* A rejected tuple leaves the relation unchanged: no column may be
+     written before every check has passed. *)
+  let schema =
+    Schema.make
+      [ { Schema.name = "f"; ty = Value.TFloat }; { Schema.name = "i"; ty = Value.TInt } ]
+  in
+  let r = Relation.create_base ~name:"r" schema in
+  let rejected tup =
+    try Relation.append_tuple r tup; false
+    with Value.Type_error _ | Invalid_argument _ -> true
+  in
+  check_bool "type error" true
+    (rejected (Tuple.make [| Value.Float 1.0; Value.Str "x" |] [| 0 |]));
+  check_bool "arity" true (rejected (Tuple.make [| Value.Float 1.0 |] [| 0 |]));
+  check_bool "lineage width" true
+    (rejected (Tuple.make [| Value.Float 1.0; Value.Int 1 |] [| 0; 1 |]));
+  Relation.append_row r [| Value.Float 2.0; Value.Int 5 |];
+  check_int "one row" 1 (Relation.cardinality r);
+  check_bool "row 0 is the appended row" true
+    ((Relation.tuple r 0).Tuple.values = [| Value.Float 2.0; Value.Int 5 |])
+
 let test_relation_column_values () =
   let d = make_dept () in
   check (Alcotest.list value_testable) "column"
@@ -235,6 +257,23 @@ let test_project () =
   check value_testable "value" (Value.Float 200.0) (Tuple.value (Relation.tuple r 0) 0);
   check_int "rows" 5 (Relation.cardinality r)
 
+let test_project_int_arith () =
+  (* Int arithmetic evaluates to ints ([Value.arith]): the projected
+     column is typed int, holds [Int 6], and the vectorized kernel built
+     it — it keeps the base's implicit lineage, where the row-at-a-time
+     fallback writes an explicit lineage column. *)
+  let r =
+    Relation.create_base ~name:"r" (Schema.make [ { Schema.name = "i"; ty = Value.TInt } ])
+  in
+  Relation.append_row r [| Value.Int 3 |];
+  let p = Ops.project [ ("x", Expr.(col "i" + col "i")) ] r in
+  check_bool "schema int" true (Schema.column_ty p.Relation.schema 0 = Value.TInt);
+  check_bool "value Int 6" true (Tuple.value (Relation.tuple p 0) 0 = Value.Int 6);
+  check_bool "vectorized" true
+    (match p.Relation.cols.Relation.clineage with
+    | Relation.Identity -> true
+    | Relation.Explicit _ -> false)
+
 let test_cross () =
   let d = make_dept () and e = make_emp () in
   let r = Ops.cross d e in
@@ -289,35 +328,6 @@ let test_distinct () =
   let r = Relation.create_base ~name:"r" s in
   List.iter (fun v -> Relation.append_row r [| Value.Int v |]) [ 1; 2; 1; 3; 2 ];
   check_int "distinct" 3 (Relation.cardinality (Ops.distinct r))
-
-let test_aggregates () =
-  let e = make_emp () in
-  close "sum" 455.0 (Ops.aggregate (Ops.Sum (Expr.col "e_salary")) e);
-  close "count" 5.0 (Ops.aggregate Ops.Count e);
-  close "avg" 91.0 (Ops.aggregate (Ops.Avg (Expr.col "e_salary")) e);
-  close "min" 50.0 (Ops.aggregate (Ops.Min (Expr.col "e_salary")) e);
-  close "max" 120.0 (Ops.aggregate (Ops.Max (Expr.col "e_salary")) e)
-
-let test_aggregate_empty () =
-  let e = Relation.create_base ~name:"emp" emp_schema in
-  close "sum of empty" 0.0 (Ops.aggregate (Ops.Sum (Expr.col "e_salary")) e);
-  check_bool "min of empty raises" true
-    (try ignore (Ops.aggregate (Ops.Min (Expr.col "e_salary")) e); false
-     with Invalid_argument _ -> true)
-
-let test_group_by () =
-  let e = make_emp () in
-  let g =
-    Ops.group_by ~keys:[ Expr.col "e_dept" ]
-      ~aggs:[ ("total", Ops.Sum (Expr.col "e_salary")); ("n", Ops.Count) ]
-      e
-  in
-  check_int "3 groups" 3 (Relation.cardinality g);
-  (* first group is dept 1 (first-seen order) *)
-  let t = Relation.tuple g 0 in
-  check value_testable "dept key" (Value.Str "1") (Tuple.value t 0);
-  check value_testable "dept 1 total" (Value.Float 220.0) (Tuple.value t 1);
-  check value_testable "dept 1 count" (Value.Float 2.0) (Tuple.value t 2)
 
 (* ---- Database ---- *)
 
@@ -383,7 +393,9 @@ let () =
       ( "relation",
         [ Alcotest.test_case "base rows" `Quick test_relation_base;
           Alcotest.test_case "derived guard" `Quick test_relation_derived_guard;
-          Alcotest.test_case "column_values" `Quick test_relation_column_values ] );
+          Alcotest.test_case "column_values" `Quick test_relation_column_values;
+          Alcotest.test_case "append_tuple validates first" `Quick
+            test_relation_append_validates ] );
       ( "expr",
         [ Alcotest.test_case "eval" `Quick test_expr_eval;
           Alcotest.test_case "predicate" `Quick test_expr_predicate;
@@ -401,9 +413,7 @@ let () =
           Alcotest.test_case "union all / lineage" `Quick test_union_all_and_lineage;
           Alcotest.test_case "union shape mismatch" `Quick test_union_shape_mismatch;
           Alcotest.test_case "distinct" `Quick test_distinct;
-          Alcotest.test_case "aggregates" `Quick test_aggregates;
-          Alcotest.test_case "empty aggregates" `Quick test_aggregate_empty;
-          Alcotest.test_case "group_by" `Quick test_group_by ] );
+          Alcotest.test_case "project int arithmetic" `Quick test_project_int_arith ] );
       ("database", [ Alcotest.test_case "catalog" `Quick test_database ]);
       ( "csv",
         [ Alcotest.test_case "roundtrip" `Quick test_csv_roundtrip;

@@ -19,8 +19,8 @@
    8. Telemetry: sampling-rate provenance for journal events, SLO breach
       marking (journal flag, counters, rate-limited callback), and the
       replay QCheck property — a journal of random executions (random
-      seeds/rates/explain, row and columnar storage) replays with every
-      estimate/stddev/variance bit-identical. *)
+      seeds/rates/explain) replays with every estimate/stddev/variance
+      bit-identical. *)
 
 module Json = Gus_service.Json
 module Cache = Gus_service.Cache
@@ -445,18 +445,6 @@ let test_cached_uncached_property () =
 
 (* ---- 8. Telemetry: journal, SLOs, bit-identical replay ---- *)
 
-(* A row-storage twin of the shared columnar db: replay determinism must
-   not depend on which storage backs the relations. *)
-let db_rows =
-  lazy
-    (let d = Gus_relational.Database.create () in
-     List.iter
-       (fun n ->
-         Gus_relational.Database.add d
-           (Gus_relational.Relation.to_rows (Gus_relational.Database.find db n)))
-       (Gus_relational.Database.names db);
-     d)
-
 let test_sampling_rates () =
   let e = fresh_engine () in
   let _, p = Engine.prepare e ~dataset sql_join in
@@ -520,10 +508,9 @@ let test_slo_breach_marking () =
 let test_replay_bit_identical () =
   QCheck.Test.check_exn
   @@ QCheck.Test.make
-       ~name:"journal replay is bit-identical (row + columnar)" ~count:6
-       QCheck.(triple (int_bound 1000) (int_bound 2) bool)
-       (fun (seed, rate_case, row_storage) ->
-         let data = if row_storage then Lazy.force db_rows else db in
+       ~name:"journal replay is bit-identical" ~count:6
+       QCheck.(pair (int_bound 1000) (int_bound 2))
+       (fun (seed, rate_case) ->
          let rates =
            match rate_case with
            | 0 -> []
@@ -534,7 +521,7 @@ let test_replay_bit_identical () =
          let e = Engine.create ~journal () in
          ignore
            (Engine.register_db e ~name:dataset
-              ~source:(Catalog.In_memory "test") data);
+              ~source:(Catalog.In_memory "test") db);
          let handle, _ = Engine.prepare e ~dataset sql_join in
          (* three plain executions (the third a cache hit) plus one down
             the profiled explain path *)
@@ -557,7 +544,7 @@ let test_replay_bit_identical () =
          let e2 = Engine.create () in
          ignore
            (Engine.register_db e2 ~name:dataset
-              ~source:(Catalog.In_memory "test") data);
+              ~source:(Catalog.In_memory "test") db);
          let r = Replay.run_string ~engine:e2 ndjson in
          r.Replay.rp_skipped = 1
          && r.Replay.rp_registers = 0
@@ -1128,5 +1115,5 @@ let () =
             test_slo_breach_marking;
           Alcotest.test_case "replay detects drift" `Quick
             test_replay_detects_drift;
-          Alcotest.test_case "replay bit-identical (row + columnar)" `Slow
+          Alcotest.test_case "replay bit-identical" `Slow
             test_replay_bit_identical ] ) ]

@@ -370,6 +370,109 @@ let test_run_group_by_sampled () =
         (Float.abs (cell.Runner.value -. truth) <= 5.0 *. cell.Runner.stddev))
     result.Runner.groups
 
+(* GROUP BY answers pinned bit for bit (estimate and stddev as %h hex,
+   seed 11): string, int and float keys, two keys at once, a join with
+   an unsampled table, a join with both sides sampled, WOR and SYSTEM
+   sampling, and several aggregates in one statement.  The values were
+   captured while groups were still copied tuple by tuple into row
+   storage; building them by gathering columns must not move a bit. *)
+let group_by_pins =
+  [
+    ( "SELECT SUM(l_quantity) AS q FROM lineitem TABLESAMPLE (30 PERCENT) GROUP BY l_returnflag",
+      898,
+      [ "R|q|0x1.a8a2aaaaaaaabp+14|0x1.6e3b34e092d1fp+10";
+        "A|q|0x1.7bbd555555556p+14|0x1.5ce9582f21748p+10";
+        "N|q|0x1.accp+14|0x1.766e40f9a514bp+10" ] );
+    ( "SELECT SUM(l_extendedprice) AS s FROM lineitem TABLESAMPLE (25 PERCENT) GROUP BY l_linenumber",
+      741,
+      [ "1|s|0x1.194ca28b10a15p+22|0x1.5234ef5f18f69p+18";
+        "3|s|0x1.898f467d2e8eep+21|0x1.41b4d21470913p+18";
+        "2|s|0x1.b99d4fd174043p+21|0x1.45ad29654dba7p+18";
+        "4|s|0x1.49a50655b08d8p+21|0x1.1ce2b7dec21f2p+18";
+        "7|s|0x1.09066637e20fcp+19|0x1.bb217f3508bdp+16";
+        "6|s|0x1.ac14e978b05cp+20|0x1.e1fbb9301ee62p+17";
+        "5|s|0x1.0c3a82b16f2d6p+21|0x1.2085d8b838cd2p+18" ] );
+    ( "SELECT COUNT(*) AS n FROM lineitem TABLESAMPLE (20 PERCENT) GROUP BY l_discount",
+      594,
+      [ "0.04|n|0x1.18p+8|0x1.0bbb307acafdbp+5";
+        "0.06|n|0x1.eap+7|0x1.f4e115049ec26p+4";
+        "0.09|n|0x1.13p+8|0x1.095479c7e6581p+5";
+        "0.03|n|0x1.eap+7|0x1.f4e115049ec26p+4";
+        "0.08|n|0x1.eap+7|0x1.f4e115049ec26p+4";
+        "0.05|n|0x1.0ep+8|0x1.06e825da8fc2bp+5";
+        "0.02|n|0x1.3bp+8|0x1.1bf8c9d2ed1a2p+5";
+        "0|n|0x1.72p+8|0x1.33c42213ee0c9p+5";
+        "0.01|n|0x1.ep+7|0x1.efbdeb14f4edap+4";
+        "0.1|n|0x1.0ep+8|0x1.06e825da8fc2bp+5";
+        "0.07|n|0x1.aep+7|0x1.d5364c8cb8f86p+4" ] );
+    ( "SELECT SUM(l_quantity) AS q FROM lineitem TABLESAMPLE (30 PERCENT) GROUP BY l_returnflag, l_linenumber",
+      898,
+      [ "R,1|q|0x1.97b5555555556p+12|0x1.65c9d0fe9e509p+9";
+        "A,3|q|0x1.108p+12|0x1.208b1425a1acbp+9";
+        "R,2|q|0x1.3c0aaaaaaaaabp+12|0x1.3c6d004896ab9p+9";
+        "N,4|q|0x1.10b5555555556p+12|0x1.35fb4c1f3dcf3p+9";
+        "N,7|q|0x1.1dd5555555556p+10|0x1.2b308ca8b20b4p+8";
+        "N,1|q|0x1.eaap+12|0x1.9e4868b283e13p+9";
+        "R,6|q|0x1.1155555555556p+11|0x1.9f2376c61bfb7p+8";
+        "A,1|q|0x1.a4p+12|0x1.73e09b45d031p+9";
+        "N,2|q|0x1.38b5555555556p+12|0x1.331d3fed49c6cp+9";
+        "A,2|q|0x1.366aaaaaaaaabp+12|0x1.42cdf7045543ap+9";
+        "A,6|q|0x1.a32aaaaaaaaabp+10|0x1.7477be3cf3ad1p+8";
+        "R,3|q|0x1.4995555555556p+12|0x1.3d1139f23d206p+9";
+        "A,4|q|0x1.9f6aaaaaaaaabp+11|0x1.001430fb44211p+9";
+        "R,4|q|0x1.2d0aaaaaaaaabp+12|0x1.3c734b1a3ca5cp+9";
+        "A,5|q|0x1.3a95555555556p+11|0x1.a961d69eeacf3p+8";
+        "R,5|q|0x1.324p+11|0x1.b630803cafa2ep+8";
+        "N,3|q|0x1.ba8p+11|0x1.0625640931bcdp+9";
+        "N,6|q|0x1.0e6aaaaaaaaabp+11|0x1.965ca5fb0b553p+8";
+        "N,5|q|0x1.a615555555556p+11|0x1.01a179d1d7c19p+9";
+        "A,7|q|0x1.72p+9|0x1.f550571fc335p+7";
+        "R,7|q|0x1.b3p+9|0x1.01b5c29a9265cp+8" ] );
+    ( "SELECT SUM(l_extendedprice) AS s FROM lineitem TABLESAMPLE (20 PERCENT), orders WHERE l_orderkey = o_orderkey GROUP BY o_orderpriority",
+      594,
+      [ "3-MEDIUM|s|0x1.a66672d41b348p+21|0x1.6e679fc0aba83p+18";
+        "2-HIGH|s|0x1.2b1f77c5bcde4p+22|0x1.d0599b4fdb0d3p+18";
+        "5-LOW|s|0x1.e129382bf7657p+21|0x1.82cc562092317p+18";
+        "4-NOT SPECIFIED|s|0x1.9562196ce87b6p+21|0x1.64f5ce40dc699p+18";
+        "1-URGENT|s|0x1.48863cbd2dee9p+21|0x1.27b747ce0f891p+18" ] );
+    ( "SELECT COUNT(*) AS n FROM lineitem TABLESAMPLE (2000 ROWS), orders TABLESAMPLE (50 PERCENT) WHERE l_orderkey = o_orderkey GROUP BY l_returnflag",
+      1028,
+      [ "R|n|0x1.007147ae147aep+10|0x1.ce52f66167797p+5";
+        "A|n|0x1.04451eb851eb8p+10|0x1.cf7aac97f971dp+5";
+        "N|n|0x1.0e38b43958106p+10|0x1.db1ca01be17c7p+5" ] );
+    ( "SELECT SUM(l_quantity) AS q, AVG(l_extendedprice) AS a, COUNT(*) AS n FROM lineitem TABLESAMPLE SYSTEM (20 PERCENT) GROUP BY l_returnflag",
+      500,
+      [ "R|q|0x1.554p+14|0x1.120156e321fa9p+13";
+        "R|a|0x1.69c59f2b4a439p+12|0x1.b1270bd924703p+8";
+        "R|n|0x1.c7p+9|0x1.6c5cc9f9be4afp+8";
+        "A|q|0x1.25d4p+14|0x1.df2ea256ea92ep+12";
+        "A|a|0x1.7fd5a207b1d79p+12|0x1.cc9f28afb35d5p+7";
+        "A|n|0x1.798p+9|0x1.328fc375259a1p+8";
+        "N|q|0x1.51a8p+14|0x1.0f93ba7368b28p+13";
+        "N|a|0x1.85f7b69eab61cp+12|0x1.2458ce97e7301p+8";
+        "N|n|0x1.a18p+9|0x1.502f39a2345e2p+8" ] );
+  ]
+
+let test_run_group_by_pinned () =
+  let db = Lazy.force db in
+  List.iter
+    (fun (sql, n_tuples, expected) ->
+      let result = run_sql ~seed:11 db sql in
+      check_int (sql ^ ": tuples") n_tuples result.Runner.n_sample_tuples;
+      let got =
+        List.concat_map
+          (fun g ->
+            List.map
+              (fun c ->
+                Printf.sprintf "%s|%s|%h|%h"
+                  (String.concat "," g.Runner.keys)
+                  c.Runner.label c.Runner.value c.Runner.stddev)
+              g.Runner.group_cells)
+          result.Runner.groups
+      in
+      check (Alcotest.list Alcotest.string) sql expected got)
+    group_by_pins
+
 let test_run_deterministic_seed () =
   let db = Lazy.force db in
   let sql = "SELECT SUM(l_quantity) FROM lineitem TABLESAMPLE (20 PERCENT)" in
@@ -561,4 +664,5 @@ let () =
           Alcotest.test_case "group by sampled" `Quick test_run_group_by_sampled;
           Alcotest.test_case "deterministic in seed" `Quick test_run_deterministic_seed;
           Alcotest.test_case "28 relations, 3 sampled = Sbox.stream" `Quick
-            test_run_wide_live_route ] ) ]
+            test_run_wide_live_route;
+          Alcotest.test_case "group by pinned bits" `Quick test_run_group_by_pinned ] ) ]
