@@ -26,8 +26,11 @@ let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc)
 
 let pool_size_arg =
-  let doc = "Number of worker domains for pool-parallel execution \
-             (overrides $(b,GUSDB_DOMAINS); 1 disables parallelism)." in
+  let doc = "Size of the default domain pool (overrides \
+             $(b,GUSDB_DOMAINS); 1 disables parallelism).  It runs the \
+             moment passes over at least 4096 pairs, $(b,serve)'s \
+             $(b,batch) and the experiment trial loops; plan execution \
+             is always sequential." in
   Arg.(value & opt (some int) None & info [ "pool-size" ] ~docv:"N" ~doc)
 
 let apply_pool_size = function

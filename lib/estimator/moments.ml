@@ -239,14 +239,11 @@ let bilinear_of_pairs ?pool ?(par_threshold = default_par_threshold) ?view
 (* ------------------------------------------------------------------ *)
 (* Streaming accumulator.
 
-   [Acc.t] is the mergeable partial state of {!of_pairs}: one group table
-   per non-empty subset mask, keyed on the lineage restricted to the mask,
+   [Acc.t] is the running state of {!of_pairs}: one group table per
+   non-empty subset mask, keyed on the lineage restricted to the mask,
    holding each group's running Σf.  Tuples are folded in one at a time
    ({!Acc.add}), so estimation-only pipelines never materialize a
-   [(lineage, f)] pairs array; independent partial accumulators (per
-   stream chunk, per pool lane) combine with {!Acc.merge} because the
-   group tables are disjoint-key mergeable: groups with equal restricted
-   lineage add their sums, all others union.
+   [(lineage, f)] pairs array.
 
    Each mask's table is the same Inttbl-backed open-addressing scratch as
    the batch kernel, except the representative is a dense *group index*
@@ -265,20 +262,16 @@ module Acc = struct
     mutable keys : int array;  (* flat store: [npos] ints per group *)
     mutable sums : float array;  (* per-group running Σf *)
     mutable ngroups : int;
-    (* Probe cursors: [equal_lineage]/[equal_key] are allocated once per
-       group table and read whichever cursor the caller set, so the hot
-       path passes no fresh closures to [find_or_add]. *)
+    (* Probe cursor: [equal_lineage] is allocated once per group table
+       and reads the lineage [add] set, so the hot path passes no fresh
+       closure to [find_or_add]. *)
     mutable cur_lineage : int array;
-    mutable cur_key : int array;
-    mutable cur_base : int;
     equal_lineage : int -> int -> bool;
-    equal_key : int -> int -> bool;
   }
 
   type t = {
     n_rels : int;
     width : int;  (* expected lineage length; = n_rels without a view *)
-    view : int array option;
     nmasks : int;
     groups : group array;  (* groups.(s - 1) handles mask s *)
     mutable count : int;
@@ -301,8 +294,6 @@ module Acc = struct
         sums = Array.make cap 0.0;
         ngroups = 0;
         cur_lineage = [||];
-        cur_key = [||];
-        cur_base = 0;
         equal_lineage =
           (fun stored _ ->
             let base = stored * g.npos in
@@ -310,16 +301,6 @@ module Acc = struct
               k >= g.npos
               || Array.unsafe_get g.keys (base + k)
                  = Array.unsafe_get g.cur_lineage (Array.unsafe_get g.pos k)
-                 && go (k + 1)
-            in
-            go 0);
-        equal_key =
-          (fun stored _ ->
-            let base = stored * g.npos in
-            let rec go k =
-              k >= g.npos
-              || Array.unsafe_get g.keys (base + k)
-                 = Array.unsafe_get g.cur_key (g.cur_base + k)
                  && go (k + 1)
             in
             go 0) }
@@ -332,7 +313,6 @@ module Acc = struct
     let nmasks = Subset.count n_rels in
     { n_rels;
       width;
-      view;
       nmasks;
       groups =
         Array.init (nmasks - 1) (fun i -> make_group ~view ~hint (i + 1));
@@ -373,9 +353,12 @@ module Acc = struct
       g.sums <- sums
     end
 
-  let insert_group g f copy_key =
+  let insert_group g lineage f =
     ensure_group_room g;
-    copy_key (g.ngroups * g.npos);
+    let base = g.ngroups * g.npos in
+    for k = 0 to g.npos - 1 do
+      g.keys.(base + k) <- lineage.(g.pos.(k))
+    done;
     g.sums.(g.ngroups) <- f;
     g.ngroups <- g.ngroups + 1
 
@@ -393,11 +376,7 @@ module Acc = struct
       let slot =
         Inttbl.find_or_add g.tbl ~hash:h ~equal:g.equal_lineage ~repr:g.ngroups
       in
-      if Inttbl.added g.tbl then
-        insert_group g f (fun base ->
-            for k = 0 to g.npos - 1 do
-              g.keys.(base + k) <- lineage.(g.pos.(k))
-            done)
+      if Inttbl.added g.tbl then insert_group g lineage f
       else begin
         let r = Inttbl.repr_at g.tbl slot in
         g.sums.(r) <- g.sums.(r) +. f
@@ -406,54 +385,18 @@ module Acc = struct
 
   let add_pairs t pairs = Array.iter (fun (l, f) -> add t l f) pairs
 
-  let merge a b =
-    if a.n_rels <> b.n_rels then
-      invalid_arg "Moments.Acc.merge: relation count mismatch";
-    if a.view <> b.view then
-      invalid_arg "Moments.Acc.merge: view mismatch";
-    a.count <- a.count + b.count;
-    a.total <- a.total +. b.total;
-    for s = 1 to a.nmasks - 1 do
-      let ga = a.groups.(s - 1) and gb = b.groups.(s - 1) in
-      for r = 0 to gb.ngroups - 1 do
-        let base = r * gb.npos in
-        maybe_grow ga;
-        ga.cur_key <- gb.keys;
-        ga.cur_base <- base;
-        let h = key_hash gb r in
-        let slot =
-          Inttbl.find_or_add ga.tbl ~hash:h ~equal:ga.equal_key ~repr:ga.ngroups
-        in
-        if Inttbl.added ga.tbl then
-          insert_group ga gb.sums.(r) (fun dst ->
-              Array.blit gb.keys base ga.keys dst ga.npos)
-        else begin
-          let ra = Inttbl.repr_at ga.tbl slot in
-          ga.sums.(ra) <- ga.sums.(ra) +. gb.sums.(r)
-        end
-      done
-    done
-
-  let finalize ?pool t =
+  let finalize t =
     let y = Array.make t.nmasks 0.0 in
     y.(Subset.empty) <- t.total *. t.total;
-    if t.nmasks > 1 then begin
-      let body lo hi =
-        for s = lo to hi - 1 do
-          let g = t.groups.(s - 1) in
-          let acc = ref 0.0 in
-          for r = 0 to g.ngroups - 1 do
-            let v = Array.unsafe_get g.sums r in
-            acc := !acc +. (v *. v)
-          done;
-          y.(s) <- !acc
-        done
-      in
-      match pool with
-      | Some p when Pool.size p > 1 && t.nmasks > 2 ->
-          Pool.run_chunks p ~lo:1 ~hi:t.nmasks body
-      | _ -> body 1 t.nmasks
-    end;
+    for s = 1 to t.nmasks - 1 do
+      let g = t.groups.(s - 1) in
+      let acc = ref 0.0 in
+      for r = 0 to g.ngroups - 1 do
+        let v = Array.unsafe_get g.sums r in
+        acc := !acc +. (v *. v)
+      done;
+      y.(s) <- !acc
+    done;
     y
 end
 
@@ -483,8 +426,8 @@ let pairs_of_relation ~f rel =
     Metrics.add m_materialized (Relation.cardinality rel);
   out
 
-let of_relation ?pool ~f rel =
-  of_pairs ?pool
+let of_relation ~f rel =
+  of_pairs
     ~n_rels:(Array.length rel.Relation.lineage_schema)
     (pairs_of_relation ~f rel)
 

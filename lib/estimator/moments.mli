@@ -9,12 +9,13 @@
     The group-by passes run on an allocation-free kernel: lineages are
     hashed directly under each subset mask (no restricted key arrays) into
     a reused open-addressing table, and the [2^n_rels − 1] independent
-    passes fan out across a {!Gus_util.Pool} domain pool for large inputs.
+    passes fan out across a {!Gus_util.Pool} domain pool for large inputs
+    — the one parallel step of an estimate; {!Acc} is sequential.
     [?pool] selects the pool (default: the shared {!Gus_util.Pool.default},
-    whose size is the machine's recommended domain count — on single-core
-    hosts everything stays sequential).  [?par_threshold] is the tuple
-    count below which the passes always run sequentially on the calling
-    domain (default 4096).
+    sized by [--pool-size] or [GUSDB_DOMAINS]; without [?pool] the passes
+    stay sequential on hosts whose recommended domain count is 1).
+    [?par_threshold] is the tuple count below which the passes always
+    run sequentially on the calling domain (default 4096).
 
     {b Views.}  [?view] (default: identity) embeds a small [n_rels]-subset
     kernel universe into wider lineage arrays: kernel position [i] reads
@@ -41,10 +42,7 @@ val of_pairs :
     [n_rels]). *)
 
 val of_relation :
-  ?pool:Gus_util.Pool.t ->
-  f:Gus_relational.Expr.t ->
-  Gus_relational.Relation.t ->
-  float array
+  f:Gus_relational.Expr.t -> Gus_relational.Relation.t -> float array
 (** Evaluate [f] on every tuple (Null ↦ 0) and delegate to {!of_pairs}
     using the relation's lineage schema. *)
 
@@ -83,21 +81,17 @@ val default_par_threshold : int
 (** Tuple count below which {!of_pairs}/{!bilinear_of_pairs} never
     parallelize (4096). *)
 
-(** Streaming, mergeable moments.
+(** Streaming moments.
 
     [Acc.t] folds [(lineage, f)] tuples in one at a time and yields the
     same [2^n_rels] moment vector as {!of_pairs}, without ever holding a
     pairs array: per subset mask it keeps one open-addressing group table
     (restricted lineage key → running Σf), so memory is proportional to
-    the number of distinct lineage groups, not tuples.  Two accumulators
-    fed disjoint tuple streams {!Acc.merge} into the accumulator for the
-    concatenated stream — the basis for chunked / pool-parallel feeding.
-
-    Float caveat: group sums are added in feed order, so a merged
-    accumulator agrees with a sequentially fed one only up to float
-    reassociation (relative error ~1e-12 on realistic inputs, never
-    bit-exact).  Sequential feeding of the same stream is exactly
-    deterministic. *)
+    the number of distinct lineage groups, not tuples.  Feeding is
+    sequential and exactly deterministic: group sums are added in feed
+    order.  Each mask's groups are summed in first-seen order, where
+    {!of_pairs} sums them in hash-slot order, so the two agree only up
+    to float reassociation in the last bits. *)
 module Acc : sig
   type t
 
@@ -125,17 +119,10 @@ module Acc : sig
   val add_pairs : t -> (int array * float) array -> unit
   (** [Array.iter]-style convenience over {!add}. *)
 
-  val merge : t -> t -> unit
-  (** [merge a b] folds [b]'s groups into [a] ([b] is unchanged);
-      equivalent to having fed [b]'s stream into [a] after [a]'s own, up
-      to float reassociation.  Raises on [n_rels] or view mismatch. *)
-
-  val finalize : ?pool:Gus_util.Pool.t -> t -> float array
+  val finalize : t -> float array
   (** The moment vector, indexed by subset mask like {!of_pairs}.  Does
-      not consume the accumulator — it can keep absorbing tuples, making
-      repeated [finalize] the natural checkpoint primitive for online /
-      shedding estimation.  [?pool] fans the per-mask Σ(Σf)² reductions
-      across a domain pool (worth it only for many masks). *)
+      not consume the accumulator: it can keep absorbing tuples and be
+      finalized again. *)
 
   val count : t -> int
   (** Tuples folded in so far. *)

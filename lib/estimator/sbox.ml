@@ -117,14 +117,14 @@ let of_relation ~gus ~f rel =
   report ~gus ~n_tuples:(Array.length pairs) ~total_f:(Moments.total pairs)
     y_raw
 
-let report_of_acc ?pool ~gus acc =
+let report_of_acc ~gus acc =
   if Moments.Acc.n_rels acc <> Gus.n_rels gus then
     invalid_arg "Sbox.report_of_acc: accumulator arity does not match GUS";
-  let y_raw = Moments.Acc.finalize ?pool acc in
+  let y_raw = Moments.Acc.finalize acc in
   report ~gus ~n_tuples:(Moments.Acc.count acc)
     ~total_f:(Moments.Acc.total acc) y_raw
 
-let of_plan ?pool ~gus ~f db rng plan =
+let of_plan ~gus ~f db rng plan =
   Gus_obs.Trace.span "sbox.of_plan" @@ fun () ->
   let view, lineage_width = kernel_view gus (Splan.lineage_schema plan) in
   let n = Gus.n_rels gus in
@@ -136,19 +136,11 @@ let of_plan ?pool ~gus ~f db rng plan =
     Moments.Acc.add acc tup.Tuple.lineage (eval tup);
     (acc, eval)
   in
-  let acc, _ =
-    match pool with
-    | Some _ ->
-        Splan.fold_stream_par ?pool db rng plan ~init ~f:feed
-          ~merge:(fun (a, e) (b, _) ->
-            Moments.Acc.merge a b;
-            (a, e))
-    | None -> Splan.fold_stream db rng plan ~init ~f:feed
-  in
+  let acc, _ = Splan.fold_stream db rng plan ~init ~f:feed in
   Gus_obs.Trace.span "sbox.report_of_acc"
     ~args:(fun () ->
       [ ("tuples", string_of_int (Moments.Acc.count acc)) ])
-    (fun () -> report_of_acc ?pool ~gus acc)
+    (fun () -> report_of_acc ~gus acc)
 
 let interval ?(coverage = 0.95) method_ report =
   Interval.make ~method_ ~coverage ~estimate:report.estimate ~stddev:report.stddev
@@ -200,13 +192,13 @@ let subsampled ~gus ~f ~target ~seed rel =
     variance_raw;
     stddev = sqrt variance }
 
-let stream ?(seed = 42) ?pool db plan ~f =
+let stream ?(seed = 42) db plan ~f =
   let rng = Gus_util.Rng.create seed in
   let analysis =
     Gus_obs.Trace.span "sbox.analyze" (fun () -> Rewrite.analyze_db db plan)
   in
   let gus = Lazy.force analysis.Rewrite.live in
-  (of_plan ?pool ~gus ~f db rng plan, analysis)
+  (of_plan ~gus ~f db rng plan, analysis)
 
 let covariance ~gus ~f ~g rel =
   let y_raw =

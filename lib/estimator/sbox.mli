@@ -40,15 +40,12 @@ val of_relation :
 (** Raises [Invalid_argument] unless [gus.rels] is the relation's lineage
     schema or a projection of it. *)
 
-val report_of_acc :
-  ?pool:Gus_util.Pool.t -> gus:Gus_core.Gus.t -> Moments.Acc.t -> report
-(** Finalize a streaming accumulator into a full report.  Non-destructive:
-    the accumulator can keep absorbing tuples and be reported again — the
-    checkpoint primitive the online estimators build on.  [?pool] is
-    forwarded to {!Moments.Acc.finalize}. *)
+val report_of_acc : gus:Gus_core.Gus.t -> Moments.Acc.t -> report
+(** Finalize a streaming accumulator into a full report; {!of_plan}'s
+    last step.  Non-destructive: the accumulator can keep absorbing
+    tuples and be reported again. *)
 
 val of_plan :
-  ?pool:Gus_util.Pool.t ->
   gus:Gus_core.Gus.t ->
   f:Gus_relational.Expr.t ->
   Gus_relational.Database.t ->
@@ -56,12 +53,12 @@ val of_plan :
   Gus_core.Splan.t ->
   report
 (** Streaming twin of [exec] + {!of_relation}: the plan's result tuples
-    are folded straight into a {!Moments.Acc} via
+    are folded straight into a fresh {!Moments.Acc} via
     {!Gus_core.Splan.fold_stream} — no result relation, no pairs array.
-    Same seed ⇒ same tuples and bit-identical [estimate]/[total_f]/
-    [n_tuples] as the materializing path (moment sums can differ in final
-    bits from reduction order).  With [?pool], chunk-parallel feeding
-    (when the streamable suffix is RNG-free) and pooled moment passes.
+    Sequential: same seed ⇒ same tuples and bit-identical [estimate]/
+    [total_f]/[n_tuples] as the materializing path (moment sums can
+    differ in final bits from reduction order).  Every online estimator
+    ([Online], [Progressive], [Shedding]) calls it once per estimate.
     [gus] spans the plan's lineage schema or its live projection, as for
     {!of_relation}: over a live projection the moment passes group on
     the live columns of the native lineages, which is how estimation
@@ -95,7 +92,6 @@ val subsampled :
 
 val stream :
   ?seed:int ->
-  ?pool:Gus_util.Pool.t ->
   Gus_relational.Database.t ->
   Gus_core.Splan.t ->
   f:Gus_relational.Expr.t ->

@@ -92,48 +92,9 @@ let children = function
   | Equi_join { left; right; _ } -> [ left; right ]
   | Theta_join (_, l, r) | Cross (l, r) | Union_samples (l, r) -> [ l; r ]
 
-let rec exec_node ?pool db rng = function
-  | Scan name -> Database.find db name
-  | Select (pred, q) -> Ops.select ?pool pred (exec ?pool db rng q)
-  | Project (fields, q) -> Ops.project ?pool fields (exec ?pool db rng q)
-  | Equi_join { left; right; left_key; right_key } ->
-      Ops.equi_join ~left_key ~right_key
-        (exec ?pool db rng left)
-        (exec ?pool db rng right)
-  | Theta_join (pred, l, r) ->
-      Ops.theta_join pred (exec ?pool db rng l) (exec ?pool db rng r)
-  | Cross (l, r) -> Ops.cross (exec ?pool db rng l) (exec ?pool db rng r)
-  | Distinct q -> Ops.distinct (exec ?pool db rng q)
-  | Sample (s, q) -> Sampler.apply ?pool s rng (exec ?pool db rng q)
-  | Union_samples (l, r) ->
-      Ops.union_lineage (exec ?pool db rng l) (exec ?pool db rng r)
-
-and exec ?pool db rng plan =
-  (* One span per plan node when tracing; the traced branch evaluates the
-     identical expression, so the RNG sees the same draw order and a
-     traced run is bit-identical to an untraced one. *)
-  if Gus_obs.Trace.enabled () then begin
-    let label = node_label plan in
-    Gus_obs.Trace.enter label;
-    match exec_node ?pool db rng plan with
-    | rel ->
-        Gus_obs.Trace.leave label
-          ~args:
-            [ ("rows_out", string_of_int (Relation.cardinality rel)) ];
-        rel
-    | exception e ->
-        Gus_obs.Trace.leave label;
-        raise e
-  end
-  else exec_node ?pool db rng plan
-
 (* Per-node execution profile for EXPLAIN ANALYZE.  Unlike trace spans
    this is an explicit mode, not flag-guarded: callers ask for profiles
-   and pay for the clock reads.  The recursion mirrors [exec_node]'s
-   {e runtime} evaluation order — OCaml applications evaluate arguments
-   right to left, so binary operators here run the right child before the
-   left — which keeps the RNG draw sequence, and therefore the sample,
-   identical to a plain [exec] with the same seed (test-enforced). *)
+   and pay for the clock reads. *)
 
 type node_profile = {
   np_path : int list;
@@ -143,55 +104,70 @@ type node_profile = {
   np_rows_out : int;
 }
 
-let exec_profiled ?pool db rng plan =
-  let profiles = ref [] in
+(* The one plan walker behind [exec] and [exec_profiled].  A binary node
+   runs its right child before its left: every seeded sample is pinned
+   to that RNG draw order, so it is written out here once rather than
+   left to the compiler's argument-evaluation order.  Trace spans (when
+   tracing is on) and EXPLAIN profiles (when [profiles] is given) observe
+   the same walk, so neither can perturb the sample.  [path] is the
+   reversed root-to-node child-index list. *)
+let walk ?profiles db rng plan =
   let card = Relation.cardinality in
+  let profiling = Option.is_some profiles in
   let rec go path plan =
-    let t0 = Gus_obs.Trace.now_ns () in
-    let rel, rows_in =
-      match plan with
-      | Scan name ->
-          let r = Database.find db name in
-          (r, card r)
-      | Select (pred, q) ->
-          let c = go (0 :: path) q in
-          (Ops.select ?pool pred c, card c)
-      | Project (fields, q) ->
-          let c = go (0 :: path) q in
-          (Ops.project ?pool fields c, card c)
-      | Equi_join { left; right; left_key; right_key } ->
-          let r = go (1 :: path) right in
-          let l = go (0 :: path) left in
-          (Ops.equi_join ~left_key ~right_key l r, card l + card r)
-      | Theta_join (pred, lq, rq) ->
-          let r = go (1 :: path) rq in
-          let l = go (0 :: path) lq in
-          (Ops.theta_join pred l r, card l + card r)
-      | Cross (lq, rq) ->
-          let r = go (1 :: path) rq in
-          let l = go (0 :: path) lq in
-          (Ops.cross l r, card l + card r)
-      | Distinct q ->
-          let c = go (0 :: path) q in
-          (Ops.distinct c, card c)
-      | Sample (s, q) ->
-          let c = go (0 :: path) q in
-          (Sampler.apply ?pool s rng c, card c)
-      | Union_samples (lq, rq) ->
-          let r = go (1 :: path) rq in
-          let l = go (0 :: path) lq in
-          (Ops.union_lineage l r, card l + card r)
-    in
-    profiles :=
-      { np_path = List.rev path;
-        np_label = node_label plan;
-        np_wall_ns = Gus_obs.Trace.now_ns () - t0;
-        np_rows_in = rows_in;
-        np_rows_out = card rel }
-      :: !profiles;
-    rel
+    let traced = Gus_obs.Trace.enabled () in
+    let label = if traced || profiling then node_label plan else "" in
+    let t0 = if profiling then Gus_obs.Trace.now_ns () else 0 in
+    if traced then Gus_obs.Trace.enter label;
+    match node path plan with
+    | rel, rows_in ->
+        if traced then
+          Gus_obs.Trace.leave label
+            ~args:[ ("rows_out", string_of_int (card rel)) ];
+        Option.iter
+          (fun acc ->
+            acc :=
+              { np_path = List.rev path;
+                np_label = label;
+                np_wall_ns = Gus_obs.Trace.now_ns () - t0;
+                np_rows_in = rows_in;
+                np_rows_out = card rel }
+              :: !acc)
+          profiles;
+        rel
+    | exception e ->
+        if traced then Gus_obs.Trace.leave label;
+        raise e
+  (* The node's output and its rows in: the sum of its inputs'
+     cardinalities, a Scan's own. *)
+  and node path = function
+    | Scan name ->
+        let r = Database.find db name in
+        (r, card r)
+    | Select (pred, q) -> unary path (Ops.select pred) q
+    | Project (fields, q) -> unary path (Ops.project fields) q
+    | Distinct q -> unary path Ops.distinct q
+    | Sample (s, q) -> unary path (Sampler.apply s rng) q
+    | Equi_join { left; right; left_key; right_key } ->
+        binary path (Ops.equi_join ~left_key ~right_key) left right
+    | Theta_join (pred, l, r) -> binary path (Ops.theta_join pred) l r
+    | Cross (l, r) -> binary path Ops.cross l r
+    | Union_samples (l, r) -> binary path Ops.union_lineage l r
+  and unary path op q =
+    let c = go (0 :: path) q in
+    (op c, card c)
+  and binary path op l r =
+    let rr = go (1 :: path) r in
+    let lr = go (0 :: path) l in
+    (op lr rr, card lr + card rr)
   in
-  let rel = go [] plan in
+  go [] plan
+
+let exec db rng plan = walk db rng plan
+
+let exec_profiled db rng plan =
+  let profiles = ref [] in
+  let rel = walk ~profiles db rng plan in
   (rel, List.rev !profiles)
 
 let exec_exact db q =
@@ -240,46 +216,41 @@ let split_stream plan =
   in
   go [] 0 plan
 
+(* The schema the bottom-up stages leave on top of [core_schema]. *)
+let stages_schema stages core_schema =
+  List.fold_left
+    (fun sc -> function
+      | St_project fs -> Ops.project_schema fs sc
+      | St_select _ | St_bernoulli _ | St_hash _ -> sc)
+    core_schema stages
+
 (* Compile the bottom-up stages against the core's output schema into
-   per-lane push chains.  [make ()] returns [(push_into sink, out_schema)]
-   where [push_into sink] is a [Tuple.t -> unit] feeding survivors to
-   [sink]; each call builds fresh closures so every pool lane can carry
-   its own chain. *)
-let compile_stages rng stages core_schema =
-  let out_schema =
-    List.fold_left
-      (fun sc -> function
-        | St_project fs -> Ops.project_schema fs sc
-        | St_select _ | St_bernoulli _ | St_hash _ -> sc)
-      core_schema stages
+   one push chain, a [Tuple.t -> unit] feeding survivors to [sink].
+   Folds bottom-up, composing outward: the innermost closure is the
+   sink, each stage wraps what is above it. *)
+let compile_stages rng stages core_schema sink =
+  let rec build sc = function
+    | [] -> sink
+    | St_select e :: rest ->
+        let keep = Expr.bind_predicate sc e in
+        let next = build sc rest in
+        fun tup -> if keep tup then next tup
+    | St_project fields :: rest ->
+        let evals = List.map (fun (_, e) -> Expr.bind sc e) fields in
+        let next = build (Ops.project_schema fields sc) rest in
+        fun tup ->
+          let values = Array.of_list (List.map (fun f -> f tup) evals) in
+          next (Tuple.with_values tup values)
+    | St_bernoulli p :: rest ->
+        let next = build sc rest in
+        fun tup -> if Gus_util.Rng.bernoulli rng p then next tup
+    | St_hash { seed; p } :: rest ->
+        let next = build sc rest in
+        fun tup ->
+          if Gus_util.Hashing.prf_float ~seed tup.Tuple.lineage.(0) < p then
+            next tup
   in
-  let make sink =
-    (* Fold bottom-up, composing outward: the innermost closure is the
-       sink, each stage wraps what is above it. *)
-    let rec build sc = function
-      | [] -> sink
-      | St_select e :: rest ->
-          let keep = Expr.bind_predicate sc e in
-          let next = build sc rest in
-          fun tup -> if keep tup then next tup
-      | St_project fields :: rest ->
-          let evals = List.map (fun (_, e) -> Expr.bind sc e) fields in
-          let next = build (Ops.project_schema fields sc) rest in
-          fun tup ->
-            let values = Array.of_list (List.map (fun f -> f tup) evals) in
-            next (Tuple.with_values tup values)
-      | St_bernoulli p :: rest ->
-          let next = build sc rest in
-          fun tup -> if Gus_util.Rng.bernoulli rng p then next tup
-      | St_hash { seed; p } :: rest ->
-          let next = build sc rest in
-          fun tup ->
-            if Gus_util.Hashing.prf_float ~seed tup.Tuple.lineage.(0) < p then
-              next tup
-    in
-    build core_schema stages
-  in
-  (make, out_schema)
+  build core_schema stages
 
 (* Columnar streaming prefix.  The leading suffix stages that are
    expressible as pure-ish per-index filters — a Vexpr-compilable
@@ -331,58 +302,14 @@ let fold_stream db rng plan ~init ~f =
   let rel = exec db rng core in
   account_stream rel;
   let filters, rest = split_index_filters rng rel stages in
-  let make, out_schema = compile_stages rng rest rel.Relation.schema in
-  let acc = ref (init out_schema) in
-  let push = make (fun tup -> acc := f !acc tup) in
+  let schema = rel.Relation.schema in
+  let acc = ref (init (stages_schema rest schema)) in
+  let push = compile_stages rng rest schema (fun tup -> acc := f !acc tup) in
   Gus_obs.Trace.span "splan.stream" (fun () ->
       for i = 0 to Relation.cardinality rel - 1 do
         if passes filters i then push (Relation.tuple rel i)
       done);
   !acc
-
-let stages_use_rng stages =
-  List.exists (function St_bernoulli _ -> true | _ -> false) stages
-
-let fold_stream_par ?pool db rng plan ~init ~f ~merge =
-  let core, stages = split_stream plan in
-  let rel = exec ?pool db rng core in
-  account_stream rel;
-  let make, out_schema = compile_stages rng stages rel.Relation.schema in
-  let n = Relation.cardinality rel in
-  let module Pool = Gus_util.Pool in
-  match pool with
-  | Some p
-    when Pool.is_live p && Pool.size p > 1
-         && n >= Pool.default_par_threshold
-         && not (stages_use_rng stages) ->
-      (* RNG-free suffix: each lane streams one contiguous chunk of the
-         core into its own accumulator; partials merge in chunk order.
-         The RNG-free index filters (Select, Hash) are shared across
-         lanes — they are pure — and tuples are materialized only for
-         surviving rows. *)
-      let filters, rest = split_index_filters rng rel stages in
-      let make = if rest == stages then make else fst (compile_stages rng rest rel.Relation.schema) in
-      let chs = Pool.chunks p ~lo:0 ~hi:n in
-      let accs = Array.map (fun _ -> init out_schema) chs in
-      Pool.run_chunks p ~lo:0 ~hi:(Array.length chs) (fun klo khi ->
-          for k = klo to khi - 1 do
-            let clo, chi = chs.(k) in
-            let lane_acc = ref accs.(k) in
-            let push = make (fun tup -> lane_acc := f !lane_acc tup) in
-            for i = clo to chi - 1 do
-              if passes filters i then push (Relation.tuple rel i)
-            done;
-            accs.(k) <- !lane_acc
-          done);
-      Array.fold_left
-        (fun acc part -> merge acc part)
-        accs.(0)
-        (Array.sub accs 1 (Array.length accs - 1))
-  | _ ->
-      let acc = ref (init out_schema) in
-      let push = make (fun tup -> acc := f !acc tup) in
-      Relation.iter push rel;
-      !acc
 
 let rec pp ppf = function
   | Scan name -> Format.pp_print_string ppf name

@@ -56,17 +56,13 @@ val node_label : t -> string
     plan, and [--explain-analyze] (e.g. ["join l_okey = o_okey"],
     ["Bernoulli(0.1)"]). *)
 
-val exec : ?pool:Gus_util.Pool.t -> Database.t -> Gus_util.Rng.t -> t -> Relation.t
-(** Run the plan, sampling with the given RNG.
-
-    [?pool] fans the per-tuple operators (Select, Project, Bernoulli /
-    hash-Bernoulli sampling) across a domain pool for inputs of at least
-    {!Gus_util.Pool.default_par_threshold} rows.  Select / Project /
-    hash-Bernoulli are output-identical to the sequential run; a pooled
-    [Bernoulli] switches to block-wise derived RNG streams (see
-    {!Gus_sampling.Sampler.apply}), so a seeded run with a pool draws a
-    {e different} — still valid, still deterministic, lane-count
-    independent — sample than the same seed without one. *)
+val exec : Database.t -> Gus_util.Rng.t -> t -> Relation.t
+(** Run the plan, sampling with the given RNG.  Execution is sequential
+    and a binary node runs its right child before its left, so one seed
+    names one sample: every entry point that executes a plan ({!exec},
+    {!exec_profiled}, {!fold_stream}) draws exactly this one.  With
+    tracing on, every executed plan node is one [Gus_obs.Trace] span
+    carrying its [rows_out]. *)
 
 val exec_exact : Database.t -> t -> Relation.t
 (** Run {!strip_samples} — the full, non-approximate answer. *)
@@ -80,14 +76,11 @@ type node_profile = {
 }
 
 val exec_profiled :
-  ?pool:Gus_util.Pool.t ->
-  Database.t ->
-  Gus_util.Rng.t ->
-  t ->
-  Relation.t * node_profile list
+  Database.t -> Gus_util.Rng.t -> t -> Relation.t * node_profile list
 (** {!exec} recording one {!node_profile} per plan node, for
-    [--explain-analyze].  Draw order matches {!exec} exactly, so the same
-    seed yields the same sample; profiles are returned in post-order. *)
+    [--explain-analyze]: the same walk observed a second way, so the
+    same seed yields the same sample.  Profiles come in execution
+    post-order (a binary node's right subtree before its left). *)
 
 val fold_stream :
   Database.t ->
@@ -106,23 +99,6 @@ val fold_stream :
     RNG-faithful: the same seed visits exactly the tuples, in exactly the
     order, that [exec] would have produced — the one permitted suffix
     Bernoulli performs the same draws in the same sequence. *)
-
-val fold_stream_par :
-  ?pool:Gus_util.Pool.t ->
-  Database.t ->
-  Gus_util.Rng.t ->
-  t ->
-  init:(Schema.t -> 'acc) ->
-  f:('acc -> Tuple.t -> 'acc) ->
-  merge:('acc -> 'acc -> 'acc) ->
-  'acc
-(** {!fold_stream} with chunk-parallel feeding: when the suffix consumes
-    no RNG (pure Select/Project/hash-Bernoulli) and the core output is
-    large enough, each pool lane streams one contiguous chunk into its
-    own [init]-fresh accumulator and the partials are [merge]d left to
-    right in chunk order.  Falls back to the sequential fold otherwise.
-    Note [?pool] also reaches the core {!exec}, with the pooled-Bernoulli
-    caveat documented there. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line rendering. *)

@@ -1,5 +1,4 @@
 module Vec = Gus_util.Vec
-module Pool = Gus_util.Pool
 module Metrics = Gus_obs.Metrics
 
 (* Per-operator row accounting.  Counts are taken from relation
@@ -67,104 +66,41 @@ module VsTbl = Hashtbl.Make (struct
     !h land max_int
 end)
 
-(* Chunk-parallel per-tuple scan.  [body push tup] decides what [tup]
-   contributes to the output (nothing, itself, a rewritten tuple) by
-   calling [push] zero or more times.  With a multi-lane pool and at least
-   [par_threshold] input rows, the input index range is cut into
-   {!Pool.chunks}; every lane fills a private per-chunk vector (tuples are
-   immutable, [body]'s closures must be pure), and the chunks are stitched
-   back in chunk order — bit-identical output to the sequential scan, in
-   the same tuple order, whatever the lane count. *)
-let chunked_scan ?pool ?(par_threshold = Pool.default_par_threshold) rel out body
-    =
-  let n = Relation.cardinality rel in
-  match pool with
-  | Some p when Pool.is_live p && Pool.size p > 1 && n >= par_threshold ->
-      let chs = Pool.chunks p ~lo:0 ~hi:n in
-      let outs =
-        Array.map (fun (clo, chi) -> Vec.create ~capacity:(max 16 (chi - clo)) ()) chs
-      in
-      Pool.run_chunks p ~lo:0 ~hi:(Array.length chs) (fun klo khi ->
-          for k = klo to khi - 1 do
-            let clo, chi = chs.(k) in
-            let dst = outs.(k) in
-            let push tup = Vec.push dst tup in
-            for i = clo to chi - 1 do
-              body push (Relation.tuple rel i)
-            done
-          done);
-      Array.iter (fun v -> Vec.iter (Relation.append_tuple out) v) outs
-  | _ -> Relation.iter (body (Relation.append_tuple out)) rel
-
 (* ---- vectorized kernels -------------------------------------------------
    When the expressions compile ({!Vexpr}), the operators below run over
-   raw columns: predicates fill selection index vectors (chunked across
-   the pool, stitched back in chunk order — the same determinism
-   discipline as {!chunked_scan}), and outputs are gathered column-wise.
-   Every kernel is bit-identical to the row-at-a-time path; anything it
-   cannot express falls back to that path, which appends tuples to a
-   columnar output. *)
+   raw columns: predicates fill selection index vectors and outputs are
+   gathered column-wise.  Every kernel is bit-identical to the
+   row-at-a-time path; anything it cannot express falls back to that
+   path, which appends tuples to a columnar output. *)
 
-(* Selection indices for [keep] over [0, n), pool-chunked when worthwhile.
-   Chunk boundaries come from {!Pool.chunks} and the per-chunk buffers are
-   concatenated in chunk order, so the result is independent of the lane
-   count. *)
-let select_indices ?pool ?(par_threshold = Pool.default_par_threshold) keep n =
-  match pool with
-  | Some p when Pool.is_live p && Pool.size p > 1 && n >= par_threshold ->
-      let chs = Pool.chunks p ~lo:0 ~hi:n in
-      let bufs =
-        Array.map (fun (clo, chi) -> Array.make (max 1 (chi - clo)) 0) chs
-      in
-      let counts = Array.make (Array.length chs) 0 in
-      Pool.run_chunks p ~lo:0 ~hi:(Array.length chs) (fun klo khi ->
-          for k = klo to khi - 1 do
-            let clo, chi = chs.(k) in
-            let buf = bufs.(k) in
-            let m = ref 0 in
-            for i = clo to chi - 1 do
-              if keep i then begin
-                buf.(!m) <- i;
-                incr m
-              end
-            done;
-            counts.(k) <- !m
-          done);
-      let total = Array.fold_left ( + ) 0 counts in
-      let idx = Array.make (max 1 total) 0 in
-      let off = ref 0 in
-      Array.iteri
-        (fun k buf ->
-          Array.blit buf 0 idx !off counts.(k);
-          off := !off + counts.(k))
-        bufs;
-      (idx, total)
-  | _ ->
-      let idx = Array.make (max 1 n) 0 in
-      let m = ref 0 in
-      for i = 0 to n - 1 do
-        if keep i then begin
-          idx.(!m) <- i;
-          incr m
-        end
-      done;
-      (idx, !m)
+(* Selection indices for [keep] over [0, n), ascending. *)
+let select_indices keep n =
+  let idx = Array.make (max 1 n) 0 in
+  let m = ref 0 in
+  for i = 0 to n - 1 do
+    if keep i then begin
+      idx.(!m) <- i;
+      incr m
+    end
+  done;
+  (idx, !m)
 
-let select ?pool ?par_threshold pred rel =
+let select pred rel =
   let name = Printf.sprintf "select(%s)" rel.Relation.name in
   let c = rel.Relation.cols in
   let out =
     match Vexpr.predicate rel.Relation.schema c.Relation.ccols pred with
     | Some keep ->
-        let idx, count = select_indices ?pool ?par_threshold keep c.Relation.cn in
+        let idx, count = select_indices keep c.Relation.cn in
         Relation.gather_rows ~name rel idx count
     | None ->
         let keep = Expr.bind_predicate rel.Relation.schema pred in
         let out =
           Relation.derived ~name rel.Relation.schema rel.Relation.lineage_schema
         in
-        chunked_scan ?pool ?par_threshold rel out (fun push tup ->
-            if keep tup then push tup);
+        Relation.iter
+          (fun tup -> if keep tup then Relation.append_tuple out tup)
+          rel;
         out
   in
   account c_select ~inputs:[ rel ] out
@@ -262,7 +198,7 @@ let build_field c plan ty =
       done;
       col
 
-let project ?pool ?par_threshold fields rel =
+let project fields rel =
   let schema = rel.Relation.schema in
   let out_schema = project_schema fields schema in
   let name = Printf.sprintf "project(%s)" rel.Relation.name in
@@ -292,9 +228,11 @@ let project ?pool ?par_threshold fields rel =
     else
       let evals = List.map (fun (_, e) -> Expr.bind schema e) fields in
       let out = Relation.derived ~name out_schema rel.Relation.lineage_schema in
-      chunked_scan ?pool ?par_threshold rel out (fun push tup ->
+      Relation.iter
+        (fun tup ->
           let values = Array.of_list (List.map (fun f -> f tup) evals) in
-          push (Tuple.with_values tup values));
+          Relation.append_tuple out (Tuple.with_values tup values))
+        rel;
       out
   in
   account c_project ~inputs:[ rel ] out

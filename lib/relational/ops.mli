@@ -8,24 +8,13 @@
     vectorized kernels over the columns; other predicates, expressions
     {!Vexpr} refuses and non-int keys fall back to a row-at-a-time path
     with identical results.  [cross], [theta_join], the unions and
-    [distinct] are row-at-a-time.  Every output is columnar. *)
+    [distinct] are row-at-a-time.  Every output is columnar, and every
+    operator runs sequentially on the calling domain. *)
 
-val select : ?pool:Gus_util.Pool.t -> ?par_threshold:int -> Expr.t -> Relation.t -> Relation.t
+val select : Expr.t -> Relation.t -> Relation.t
 
-val project :
-  ?pool:Gus_util.Pool.t ->
-  ?par_threshold:int ->
-  (string * Expr.t) list ->
-  Relation.t ->
-  Relation.t
-(** [(output name, expression)] pairs; lineage preserved.
-
-    For both operators [?pool] fans the per-tuple work across a domain
-    pool once the input has at least [?par_threshold] rows (default
-    {!Gus_util.Pool.default_par_threshold}); the per-chunk outputs are
-    stitched back in chunk order, so the result is identical — same
-    tuples, same order — to the sequential scan for any lane count.
-    Without [?pool] the scan is sequential. *)
+val project : (string * Expr.t) list -> Relation.t -> Relation.t
+(** [(output name, expression)] pairs; lineage preserved. *)
 
 val project_schema : (string * Expr.t) list -> Schema.t -> Schema.t
 (** The output schema {!project} derives for [fields] over an input
@@ -35,18 +24,10 @@ val project_schema : (string * Expr.t) list -> Schema.t -> Schema.t
     must know the post-projection schema without materializing
     anything. *)
 
-val select_indices :
-  ?pool:Gus_util.Pool.t ->
-  ?par_threshold:int ->
-  (int -> bool) ->
-  int ->
-  int array * int
-(** [select_indices ?pool keep n] is the ascending list of indices in
-    [0, n) for which [keep] holds, as [(buffer, count)] — the columnar
-    predicate kernel.  With a live multi-lane pool and [n >=
-    par_threshold] the range is cut into {!Gus_util.Pool.chunks},
-    evaluated in parallel, and stitched back in chunk order, so the
-    result never depends on the lane count.  [keep] must be pure. *)
+val select_indices : (int -> bool) -> int -> int array * int
+(** [select_indices keep n] is the ascending list of indices in [0, n)
+    for which [keep] holds, as [(buffer, count)] — the columnar
+    predicate kernel.  [keep] runs once per index, in index order. *)
 
 val cross : Relation.t -> Relation.t -> Relation.t
 

@@ -1,6 +1,5 @@
 module Rng = Gus_util.Rng
 module Hashing = Gus_util.Hashing
-module Pool = Gus_util.Pool
 open Gus_relational
 
 type t =
@@ -47,12 +46,6 @@ let per_tuple = function
   | Bernoulli _ | Hash_bernoulli _ -> true
   | Wor _ | Wr _ | Block _ -> false
 
-(* Row-block grid for the pooled Bernoulli path.  The grid is a property
-   of the *input*, not of the pool: block [b] always covers rows
-   [b*4096, (b+1)*4096) and always draws from the [b]-th derived child
-   stream, so the sample is identical for every pool size. *)
-let bernoulli_rows_per_stream = 4096
-
 let sampled_name ?(suffix = "sample") rel =
   Printf.sprintf "%s(%s)" suffix rel.Relation.name
 
@@ -60,65 +53,18 @@ let sampled_name ?(suffix = "sample") rel =
    the RNG in row order — then gathers data and lineage columns in one
    pass. *)
 
-let apply_inner ?pool ?(par_threshold = Pool.default_par_threshold) t rng rel =
+let apply_inner t rng rel =
   validate t;
   (match t with
   | Block _ -> require_base "block sampling" rel
   | Hash_bernoulli _ -> require_base "hash-Bernoulli sampling" rel
   | Bernoulli _ | Wor _ | Wr _ -> ());
   match t with
-  | Bernoulli p -> (
-      let n = Relation.cardinality rel in
-      match pool with
-      | Some pl when Pool.is_live pl && n >= par_threshold ->
-          (* Block-wise draws: one [Rng.derive]d child stream per fixed
-             4096-row block, blocks fanned across lanes and stitched in
-             block order.  Deterministic in (seed, input) and independent
-             of the lane count — but a *different* sample than the
-             sequential single-stream path, which is why the pooled path
-             is opt-in per call rather than a drop-in default. *)
-          let master = Rng.split rng in
-          let nblocks = (n + bernoulli_rows_per_stream - 1) / bernoulli_rows_per_stream in
-          let bufs =
-            Array.init nblocks (fun b ->
-                let lo = b * bernoulli_rows_per_stream in
-                Array.make (max 1 (min n (lo + bernoulli_rows_per_stream) - lo)) 0)
-          in
-          let counts = Array.make (max 1 nblocks) 0 in
-          Pool.run_chunks pl ~lo:0 ~hi:nblocks (fun blo bhi ->
-              for b = blo to bhi - 1 do
-                let brng = Rng.derive master b in
-                let buf = bufs.(b) in
-                let m = ref 0 in
-                let lo = b * bernoulli_rows_per_stream in
-                let hi = min n (lo + bernoulli_rows_per_stream) in
-                for i = lo to hi - 1 do
-                  if Rng.bernoulli brng p then begin
-                    buf.(!m) <- i;
-                    incr m
-                  end
-                done;
-                counts.(b) <- !m
-              done);
-          let total = Array.fold_left ( + ) 0 counts in
-          let idx = Array.make (max 1 total) 0 in
-          let off = ref 0 in
-          Array.iteri
-            (fun b buf ->
-              Array.blit buf 0 idx !off counts.(b);
-              off := !off + counts.(b))
-            bufs;
-          Relation.gather_rows ~name:(sampled_name rel) rel idx total
-      | _ ->
-          let idx = Array.make (max 1 n) 0 in
-          let m = ref 0 in
-          for i = 0 to n - 1 do
-            if Rng.bernoulli rng p then begin
-              idx.(!m) <- i;
-              incr m
-            end
-          done;
-          Relation.gather_rows ~name:(sampled_name rel) rel idx !m)
+  | Bernoulli p ->
+      let idx, count =
+        Ops.select_indices (fun _ -> Rng.bernoulli rng p) (Relation.cardinality rel)
+      in
+      Relation.gather_rows ~name:(sampled_name rel) rel idx count
   | Wor n ->
       let card = Relation.cardinality rel in
       let k = min n card in
@@ -167,20 +113,16 @@ let apply_inner ?pool ?(par_threshold = Pool.default_par_threshold) t rng rel =
         rel.Relation.schema rel.Relation.lineage_schema
         { Relation.cn = !m; ccols; clineage }
   | Hash_bernoulli { seed; p } ->
-      (* Decisions are a pure function of (seed, lineage id), so the
-         chunk-parallel scan is output-identical to the sequential one. *)
       let keep i = Hashing.prf_float ~seed (Relation.lineage_id rel ~slot:0 i) < p in
-      let idx, count =
-        Ops.select_indices ?pool ~par_threshold keep (Relation.cardinality rel)
-      in
+      let idx, count = Ops.select_indices keep (Relation.cardinality rel) in
       Relation.gather_rows ~name:(sampled_name ~suffix:"hashsample" rel) rel idx count
 
 let m_rows_in = Gus_obs.Metrics.counter "sampler.rows_in"
 let m_rows_out = Gus_obs.Metrics.counter "sampler.rows_out"
 let m_draws = Gus_obs.Metrics.counter "sampler.bernoulli.draws"
 
-let apply ?pool ?par_threshold t rng rel =
-  let out = apply_inner ?pool ?par_threshold t rng rel in
+let apply t rng rel =
+  let out = apply_inner t rng rel in
   (* Draw counts are derived arithmetically (never by counting inside the
      sampling loops), so instrumentation cannot perturb the RNG stream. *)
   if Gus_obs.Metrics.enabled () then begin

@@ -37,8 +37,6 @@ val validate : t -> unit
     negative sizes…). *)
 
 val apply :
-  ?pool:Gus_util.Pool.t ->
-  ?par_threshold:int ->
   t ->
   Gus_util.Rng.t ->
   Gus_relational.Relation.t ->
@@ -46,18 +44,8 @@ val apply :
 (** Draw a sample.  [Wor]/[Wr] of size ≥ cardinality return all rows
     (respectively, exactly [n] draws).  For [Hash_bernoulli] the RNG is
     unused: decisions come from the pseudo-random function, keyed on the
-    first lineage slot.
-
-    [?pool] (with at least [?par_threshold] input rows, default
-    {!Gus_util.Pool.default_par_threshold}) parallelizes the per-tuple
-    samplers.  [Hash_bernoulli] is a pure per-tuple function, so the
-    pooled scan returns exactly the sequential sample.  [Bernoulli]
-    switches to block-wise draws — one {!Gus_util.Rng.derive}d child
-    stream per fixed 4096-row input block — which is deterministic in
-    (seed, input) and independent of the pool's lane count, but a
-    different (equally valid) sample than the sequential single-stream
-    path; callers with pinned sequential fixtures must not pass [?pool].
-    [Wor]/[Wr]/[Block] always run sequentially. *)
+    first lineage slot.  Every sampler runs sequentially and draws from
+    the RNG in row order, so one seed names one sample. *)
 
 val uses_rng : t -> bool
 (** Whether {!apply} consumes RNG state ([Hash_bernoulli] does not). *)

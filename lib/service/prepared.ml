@@ -158,8 +158,7 @@ let execute catalog t (ov : overrides) =
     end
   in
   let params =
-    { Runner.default_params with
-      seed = ov.seed;
+    { Runner.seed = ov.seed;
       explain = ov.explain;
       exact = ov.exact;
       streaming = true }

@@ -12,8 +12,8 @@
     [streaming = true]: single-aggregate, non-GROUP-BY queries fold
     straight into the SBox via [Splan.fold_stream] (PR 3) without
     materializing the sample — bit-identical estimates and tuple counts
-    to the materializing path, no pool is threaded into execution, so
-    results never depend on the server's lane count. *)
+    to the materializing path.  Execution is sequential, so results
+    never depend on the server's lane count. *)
 
 type t
 

@@ -121,31 +121,31 @@ let live_design (a : Gus_analysis.Lint.analysis) =
 
 (* ---- the materializing evaluation core --------------------------------- *)
 
-(* Execute the plan and evaluate every SELECT item over the materialized
-   sample.  [gus] is the plan's live-relation design, computed by the
-   caller (prepare-time artifact: it depends only on the plan and base
-   cardinalities, never on tuple data). *)
+(* Evaluate every SELECT item over the materialized sample, per group
+   under GROUP BY.  [gus] is the plan's live-relation design, computed by
+   the caller (prepare-time artifact: it depends only on the plan and
+   base cardinalities, never on tuple data).  The report is the first
+   item's, when a whole-query SUM/COUNT/QUANTILE cell computed one. *)
+let eval_sample ~gus query sample =
+  match query.Ast.group_by with
+  | [] ->
+      let pairs = List.map (eval_item_report ~gus sample) query.Ast.items in
+      let report = match pairs with (_, r) :: _ -> r | [] -> None in
+      (List.map fst pairs, [], report)
+  | keys ->
+      let per_group =
+        List.map
+          (fun (k, sub) ->
+            { keys = k;
+              group_cells = List.map (eval_item ~gus sub) query.Ast.items })
+          (partition_groups keys sample)
+      in
+      ([], per_group, None)
+
 let eval_query ~gus ~seed db query plan =
   let rng = Gus_util.Rng.create seed in
   let sample = Splan.exec db rng plan in
-  let cells, groups, report =
-    match query.Ast.group_by with
-    | [] ->
-        let pairs =
-          List.map (eval_item_report ~gus sample) query.Ast.items
-        in
-        let report = match pairs with (_, r) :: _ -> r | [] -> None in
-        (List.map fst pairs, [], report)
-    | keys ->
-        let per_group =
-          List.map
-            (fun (k, sub) ->
-              { keys = k;
-                group_cells = List.map (eval_item ~gus sub) query.Ast.items })
-            (partition_groups keys sample)
-        in
-        ([], per_group, None)
-  in
+  let cells, groups, report = eval_sample ~gus query sample in
   ( { cells; groups; n_sample_tuples = Relation.cardinality sample; gus; plan },
     report )
 
@@ -178,12 +178,12 @@ let rec agg_expr = function
    Same seed ⇒ bit-identical estimate / n_sample_tuples to [eval_query]
    (the moment sums — hence stddev — can differ in final bits from
    reduction order; see Sbox.of_plan). *)
-let stream_result ?pool ~gus ~seed db query plan =
+let stream_result ~gus ~seed db query plan =
   match query.Ast.items with
   | [ item ] when query.Ast.group_by = [] && streamable_item item ->
       let rng = Gus_util.Rng.create seed in
       let f = agg_expr item.Ast.agg in
-      let r = Sbox.of_plan ?pool ~gus ~f db rng plan in
+      let r = Sbox.of_plan ~gus ~f db rng plan in
       let cell =
         cell_of_report ~label:(label_of item)
           ?quantile:(item_quantile item.Ast.agg)
@@ -250,19 +250,7 @@ let explain_of ~(analysis : Gus_analysis.Lint.analysis) ~seed db query plan =
   let gus = live_design analysis in
   let rng = Gus_util.Rng.create seed in
   let sample, profiles = Splan.exec_profiled db rng plan in
-  let cells, groups =
-    match query.Ast.group_by with
-    | [] -> (List.map (eval_item ~gus sample) query.Ast.items, [])
-    | keys ->
-        let per_group =
-          List.map
-            (fun (k, sub) ->
-              { keys = k;
-                group_cells = List.map (eval_item ~gus sub) query.Ast.items })
-            (partition_groups keys sample)
-        in
-        ([], per_group)
-  in
+  let cells, groups, first_report = eval_sample ~gus query sample in
   let result =
     { cells; groups; n_sample_tuples = Relation.cardinality sample; gus; plan }
   in
@@ -274,11 +262,14 @@ let explain_of ~(analysis : Gus_analysis.Lint.analysis) ~seed db query plan =
   in
   (* Variance decomposition of the first aggregate: each sampling node is
      annotated with the Theorem-1 term of its subtree's relation subset
-     (the -y_0 belongs to the empty subset, which no Sample node owns). *)
+     (the -y_0 belongs to the empty subset, which no Sample node owns).
+     A SUM/COUNT/QUANTILE cell already computed that report; AVG and
+     GROUP BY cells did not, so it is computed over the whole sample. *)
   let report =
-    match query.Ast.items with
-    | [] -> None
-    | item :: _ -> (
+    match (first_report, query.Ast.items) with
+    | Some r, _ -> Some r
+    | None, [] -> None
+    | None, item :: _ -> (
         try Some (Sbox.of_relation ~gus ~f:(agg_expr item.Ast.agg) sample)
         with _ -> None)
   in
@@ -361,11 +352,10 @@ type params = {
   explain : bool;
   exact : bool;
   streaming : bool;
-  pool : Gus_util.Pool.t option;
 }
 
 let default_params =
-  { seed = 42; explain = false; exact = false; streaming = false; pool = None }
+  { seed = 42; explain = false; exact = false; streaming = false }
 
 type request = {
   sql : string;
@@ -374,9 +364,9 @@ type request = {
 }
 
 let request ?(seed = 42) ?(explain = false) ?(exact = false)
-    ?(streaming = false) ?pool
-    ?(lint_config = Gus_analysis.Lint.default_config) sql =
-  { sql; lint_config; params = { seed; explain; exact; streaming; pool } }
+    ?(streaming = false) ?(lint_config = Gus_analysis.Lint.default_config) sql
+    =
+  { sql; lint_config; params = { seed; explain; exact; streaming } }
 
 type prepared = {
   pr_sql : string;
@@ -424,7 +414,7 @@ let execute db (p : prepared) (params : params) =
     else
       match
         (if params.streaming then
-           stream_result ?pool:params.pool ~gus ~seed:params.seed db query plan
+           stream_result ~gus ~seed:params.seed db query plan
          else None)
       with
       | Some (r, rep) -> (None, r, Some rep, true)

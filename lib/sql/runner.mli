@@ -72,13 +72,10 @@ type params = {
           sample, bit-identical estimate and tuple count to the
           materializing core (stddev can differ in final bits from
           moment-reduction order) *)
-  pool : Gus_util.Pool.t option;
-      (** forwarded to the streaming estimator's moment passes *)
 }
 
 val default_params : params
-(** [{ seed = 42; explain = false; exact = false; streaming = false;
-    pool = None }]. *)
+(** [{ seed = 42; explain = false; exact = false; streaming = false }]. *)
 
 type request = {
   sql : string;
@@ -91,7 +88,6 @@ val request :
   ?explain:bool ->
   ?exact:bool ->
   ?streaming:bool ->
-  ?pool:Gus_util.Pool.t ->
   ?lint_config:Gus_analysis.Lint.config ->
   string ->
   request
@@ -144,7 +140,10 @@ val execute : Gus_relational.Database.t -> prepared -> params -> response
     live relations alone exceed {!Gus_util.Subset.max_universe} — {e
     before} any sampling work runs.  Deterministic in
     [(prepared, params.seed)]: repeated calls return bit-identical
-    responses. *)
+    responses.  Plan execution and the streaming fold are sequential;
+    only the materializing path's moment passes over at least 4096
+    pairs fan out on the default {!Gus_util.Pool}, one subset mask per
+    lane, which never changes a bit. *)
 
 val run_request : Gus_relational.Database.t -> request -> response
 (** [prepare] + [execute] in one shot — the cold path. *)

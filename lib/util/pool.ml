@@ -16,8 +16,6 @@ type t = {
 let size t = t.size
 let is_live t = t.live
 
-let default_par_threshold = 4096
-
 let worker_loop w =
   let running = ref true in
   while !running do

@@ -23,24 +23,13 @@ val size : t -> int
 val is_live : t -> bool
 (** [false] once {!shutdown} has run. *)
 
-val default_par_threshold : int
-(** Element count below which the chunk-parallel operators (moments
-    passes, [Ops.select]/[Ops.project], the per-tuple samplers) stay
-    sequential: 4096.  Shared across layers so "big enough to fan out"
-    means one thing everywhere. *)
-
-val chunks : t -> lo:int -> hi:int -> (int * int) array
-(** The exact contiguous partition of [\[lo, hi)] that {!run_chunks}
-    uses: at most [size t] chunks in index order, earlier chunks one
-    element longer when the range does not divide evenly.  Exposed so
-    callers can allocate per-chunk output slots and stitch them back in
-    deterministic chunk order. *)
-
 val run_chunks : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
-(** [run_chunks t ~lo ~hi f] partitions [\[lo, hi)] into {!chunks} and
-    evaluates [f clo chi] on each, in parallel.  Blocks until all chunks
-    are done.  If any chunk raises, one of the exceptions is re-raised
-    after every lane has finished.  The caller must ensure chunk bodies
+(** [run_chunks t ~lo ~hi f] partitions [\[lo, hi)] into at most [size t]
+    contiguous chunks in index order (earlier chunks one element longer
+    when the range does not divide evenly) and evaluates [f clo chi] on
+    each, in parallel.  Blocks until all chunks are done.  If any chunk
+    raises, one of the exceptions is re-raised after every lane has
+    finished.  The caller must ensure chunk bodies
     touch disjoint mutable state.  A pool must not be shared by
     concurrent [run_chunks] calls.  Raises [Invalid_argument] on a pool
     that has been {!shutdown} (when the range is non-empty). *)
@@ -60,7 +49,11 @@ val default_size : unit -> int
 val default : unit -> t
 (** A process-wide shared pool of {!default_size}, created lazily on
     first use and recreated if the size configuration changed or the
-    previous default was shut down. *)
+    previous default was shut down.  Three things run on it: the
+    moment passes of [Moments.of_pairs]/[bilinear_of_pairs] over at
+    least 4096 pairs, the serving engine's [batch] fan-out, and the
+    experiment trial loops.  Plan execution and the streaming
+    estimator are sequential. *)
 
 val set_default_size : int -> unit
 (** Override the default-pool size (CLI [--pool-size]); takes precedence

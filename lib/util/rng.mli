@@ -22,8 +22,8 @@ val derive : t -> int -> t
     number of lanes can derive their streams concurrently from one master
     and the result never depends on evaluation order.  [derive t 0]
     coincides with what {!split} would return.  This is the SplitMix64
-    stream-splitting discipline the parallel Monte-Carlo harness and the
-    pooled Bernoulli sampler build on.  Raises on negative [i]. *)
+    stream-splitting discipline the parallel Monte-Carlo harness builds
+    on.  Raises on negative [i]. *)
 
 val bits64 : t -> int64
 val int : t -> int -> int

@@ -3,10 +3,9 @@
    every operator is the plain tuple-at-a-time evaluation: select and
    project through [Expr.bind], the equi-join as nested loops that build
    on the smaller side and emit each probe row's matches in build order,
-   and every sampler drawing from the RNG in row order — the pooled
-   Bernoulli as one derived child stream per fixed 4096-row block.
-   [Ops] and [Sampler] are held against these bit for bit: the same
-   values, lineage, row order and exceptions. *)
+   and every sampler drawing from the RNG in row order.  [Ops] and
+   [Sampler] are held against these bit for bit: the same values,
+   lineage, row order and exceptions. *)
 
 open Gus_relational
 module Rng = Gus_util.Rng
@@ -73,24 +72,11 @@ let equi_join ~left_key ~right_key a b =
     lineage_schema;
     rows = Array.of_list (List.rev !out) }
 
-(* [pooled]: the input reached the library's pooled Bernoulli path (a
-   live pool and at least [par_threshold] rows). *)
-let sample ~pooled s rng r =
+let sample s rng r =
   Sampler.validate s;
   let named suffix rows = { r with name = Printf.sprintf "%s(%s)" suffix r.name; rows } in
   let card = Array.length r.rows in
   match s with
-  | Sampler.Bernoulli p when pooled ->
-      let master = Rng.split rng in
-      let rows_per_stream = 4096 in
-      let kept = ref [] in
-      for b = 0 to ((card + rows_per_stream - 1) / rows_per_stream) - 1 do
-        let brng = Rng.derive master b in
-        for i = b * rows_per_stream to min card ((b + 1) * rows_per_stream) - 1 do
-          if Rng.bernoulli brng p then kept := r.rows.(i) :: !kept
-        done
-      done;
-      named "sample" (Array.of_list (List.rev !kept))
   | Sampler.Bernoulli p -> named "sample" (filter (fun _ -> Rng.bernoulli rng p) r.rows)
   | Sampler.Wor n ->
       let idx = Rng.sample_without_replacement rng (min n card) card in
@@ -121,11 +107,9 @@ let sample ~pooled s rng r =
         (filter (fun tup -> Hashing.prf_float ~seed tup.Tuple.lineage.(0) < p) r.rows)
 
 (* Plan evaluation over base relations, children evaluated right before
-   left as [Splan.exec] does, so the RNG sees the same draw order.
-   [pooled]: the library ran with a live pool, so each sampler input of
-   at least the default threshold took the pooled path. *)
-let rec exec ~pooled db rng plan =
-  let go = exec ~pooled db rng in
+   left as [Splan.exec] does, so the RNG sees the same draw order. *)
+let rec exec db rng plan =
+  let go = exec db rng in
   match plan with
   | Splan.Scan name -> of_relation (Database.find db name)
   | Splan.Select (pred, q) -> select pred (go q)
@@ -134,11 +118,6 @@ let rec exec ~pooled db rng plan =
       let r = go right in
       let l = go left in
       equi_join ~left_key ~right_key l r
-  | Splan.Sample (s, q) ->
-      let input = go q in
-      let pooled =
-        pooled && Array.length input.rows >= Gus_util.Pool.default_par_threshold
-      in
-      sample ~pooled s rng input
+  | Splan.Sample (s, q) -> sample s rng (go q)
   | Splan.Theta_join _ | Splan.Cross _ | Splan.Distinct _ | Splan.Union_samples _ ->
       invalid_arg "Row_oracle.exec: operator outside the oracle"

@@ -8,11 +8,10 @@
    arithmetic that raises (division by zero) and unknown columns,
    because "identical" covers the failure paths too.
 
-   1. QCheck: select / project / equi-join outputs equal the oracle's
-      for pools {none, 1, 2, 4}, on the vectorized and the fallback
-      paths.
-   2. QCheck: every sampler draws the oracle's sample from the same seed
-      (pooled Bernoulli included, per pool size).
+   1. QCheck: select / project / equi-join outputs equal the oracle's,
+      on the vectorized and the fallback paths.
+   2. QCheck: every sampler draws the oracle's sample from the same
+      seed.
    3. Snapshot: save → load round-trips bit-identically (values, lineage,
       schema), re-saving the loaded database is byte-identical, mapped
       columns are copy-on-append, and corrupt/versioned files raise the
@@ -21,7 +20,6 @@
       and are still pinned to the seed implementation's value. *)
 
 module Rng = Gus_util.Rng
-module Pool = Gus_util.Pool
 module Splan = Gus_core.Splan
 module Rewrite = Gus_analysis.Rewrite
 module Sbox = Gus_estimator.Sbox
@@ -32,16 +30,6 @@ open Gus_relational
 let check_bool = Alcotest.check Alcotest.bool
 let check_int = Alcotest.check Alcotest.int
 let check_string = Alcotest.check Alcotest.string
-
-let pool_of =
-  let tbl = Hashtbl.create 4 in
-  fun size ->
-    match Hashtbl.find_opt tbl size with
-    | Some p -> p
-    | None ->
-        let p = Pool.create ~size in
-        Hashtbl.add tbl size p;
-        p
 
 (* ---- bit-level equality ---- *)
 
@@ -177,36 +165,23 @@ let rec expr_gen n =
           (1, map (fun a -> Expr.Not a) (expr_gen (n - 1)));
           (1, map (fun a -> Expr.Neg a) (expr_gen (n - 1))) ])
 
-let pools = [ None; Some 1; Some 2; Some 4 ]
-
-let with_pool psize f =
-  match psize with
-  | None -> f ?pool:None ()
-  | Some s -> f ?pool:(Some (pool_of s)) ()
-
 (* ---- 1. operator parity ---- *)
 
 let print_case (codes, e) =
   Printf.sprintf "n=%d expr=%s" (List.length codes) (Expr.to_string e)
 
 let prop_select_parity =
-  QCheck2.Test.make ~name:"select: cols = rows (all pools)" ~count:250
+  QCheck2.Test.make ~name:"select: cols = rows" ~count:250
     ~print:print_case
     QCheck2.Gen.(pair rows_gen (expr_gen 3))
     (fun (codes, e) ->
       let c, o = with_oracle ~name:"t" codes in
-      let oracle = outcome (fun () -> Row_oracle.select e o) in
-      List.for_all
-        (fun psize ->
-          outcomes_agree
-            (outcome (fun () ->
-                 with_pool psize (fun ?pool () ->
-                     Ops.select ?pool ~par_threshold:8 e c)))
-            oracle)
-        pools)
+      outcomes_agree
+        (outcome (fun () -> Ops.select e c))
+        (outcome (fun () -> Row_oracle.select e o)))
 
 let prop_project_parity =
-  QCheck2.Test.make ~name:"project: cols = rows (all pools)" ~count:250
+  QCheck2.Test.make ~name:"project: cols = rows" ~count:250
     ~print:(fun (codes, e1, e2) ->
       Printf.sprintf "n=%d a=%s b=%s" (List.length codes) (Expr.to_string e1)
         (Expr.to_string e2))
@@ -214,15 +189,9 @@ let prop_project_parity =
     (fun (codes, e1, e2) ->
       let c, o = with_oracle ~name:"t" codes in
       let fields = [ ("a", e1); ("b", e2); ("f2", Expr.col "f") ] in
-      let oracle = outcome (fun () -> Row_oracle.project fields o) in
-      List.for_all
-        (fun psize ->
-          outcomes_agree
-            (outcome (fun () ->
-                 with_pool psize (fun ?pool () ->
-                     Ops.project ?pool ~par_threshold:8 fields c)))
-            oracle)
-        pools)
+      outcomes_agree
+        (outcome (fun () -> Ops.project fields c))
+        (outcome (fun () -> Row_oracle.project fields o)))
 
 let prop_join_parity =
   QCheck2.Test.make ~name:"equi-join: cols = rows (both key paths)" ~count:150
@@ -282,7 +251,7 @@ let samplers n =
     Sampler.Hash_bernoulli { seed = 11; p = 0.4 } ]
 
 let prop_sampler_parity =
-  QCheck2.Test.make ~name:"samplers: cols = rows (same seed, all pools)"
+  QCheck2.Test.make ~name:"samplers: cols = rows (same seed)"
     ~count:120
     ~print:(fun (codes, seed) ->
       Printf.sprintf "n=%d seed=%d" (List.length codes) seed)
@@ -291,15 +260,9 @@ let prop_sampler_parity =
       let c, o = with_oracle ~name:"t" codes in
       List.for_all
         (fun s ->
-          List.for_all
-            (fun psize ->
-              let got =
-                with_pool psize (fun ?pool () ->
-                    Sampler.apply ?pool ~par_threshold:8 s (Rng.create seed) c)
-              in
-              let pooled = psize <> None && List.length codes >= 8 in
-              matches got (Row_oracle.sample ~pooled s (Rng.create seed) o))
-            pools)
+          matches
+            (Sampler.apply s (Rng.create seed) c)
+            (Row_oracle.sample s (Rng.create seed) o))
         (samplers (List.length codes)))
 
 (* ---- 3. snapshots ---- *)
@@ -420,38 +383,23 @@ let test_stream_query1_parity () =
   let plan = Harness.query1_plan () in
   let gus = (Lazy.force (Rewrite.analyze_db db plan).Rewrite.gus) in
   let bits = Int64.bits_of_float in
-  (* The oracle's sample through the materializing SBox.  The streamed
-     core stays below the pool's chunking threshold, so even the pooled
-     runs accumulate in tuple order and the estimates compare bit for
-     bit. *)
-  let oracle ~pooled seed =
-    let o = Row_oracle.exec ~pooled db (Rng.create seed) plan in
+  (* The oracle's sample through the materializing SBox. *)
+  let oracle seed =
+    let o = Row_oracle.exec db (Rng.create seed) plan in
     let f = Expr.bind_float o.Row_oracle.schema Harness.revenue_f in
     Sbox.of_pairs ~gus
       (Array.map (fun tup -> (tup.Tuple.lineage, f tup)) o.Row_oracle.rows)
   in
   List.iter
     (fun seed ->
-      let run ?pool d =
-        Sbox.of_plan ?pool ~gus ~f:Harness.revenue_f d (Rng.create seed) plan
-      in
-      let c = run db and r = oracle ~pooled:false seed in
+      let c = Sbox.of_plan ~gus ~f:Harness.revenue_f db (Rng.create seed) plan
+      and r = oracle seed in
       check_int (Printf.sprintf "seed %d: n_tuples" seed) r.Sbox.n_tuples
         c.Sbox.n_tuples;
       check_bool (Printf.sprintf "seed %d: estimate bits" seed) true
         (Int64.equal (bits r.Sbox.estimate) (bits c.Sbox.estimate));
       check_bool (Printf.sprintf "seed %d: total_f bits" seed) true
-        (Int64.equal (bits r.Sbox.total_f) (bits c.Sbox.total_f));
-      List.iter
-        (fun size ->
-          let cp = run ~pool:(pool_of size) db
-          and rp = oracle ~pooled:true seed in
-          check_int (Printf.sprintf "seed %d pool %d: n_tuples" seed size)
-            rp.Sbox.n_tuples cp.Sbox.n_tuples;
-          check_bool (Printf.sprintf "seed %d pool %d: estimate bits" seed size)
-            true
-            (Int64.equal (bits rp.Sbox.estimate) (bits cp.Sbox.estimate)))
-        [ 1; 2; 4 ])
+        (Int64.equal (bits r.Sbox.total_f) (bits c.Sbox.total_f)))
     [ 5; 17; 4242 ];
   (* The columnar fast path must still reproduce the seed implementation's
      pinned Query-1 estimate (captured before the columnar rewrite). *)

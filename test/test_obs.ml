@@ -8,9 +8,9 @@
    3. Histogram buckets are upper-inclusive ([v <= le]) with an implicit
       +inf overflow bucket.
    4. QCheck: a traced+metered Sbox.of_plan run is bit-identical to an
-      untraced one (estimate/total_f/n_tuples and the moment vector),
-      for pool sizes 1, 2, 4 — instrumentation must never perturb the
-      RNG stream or the reduction order.
+      untraced one (estimate/total_f/n_tuples and the moment vector) —
+      instrumentation must never perturb the RNG stream or the
+      reduction order.
    5. exec_profiled draws in the same order as exec: same seed, same
       sample, plus well-formed per-node profiles.
    6. Histogram quantiles: linear interpolation pinned at bucket
@@ -45,16 +45,6 @@ let with_tracing f =
   Fun.protect
     ~finally:(fun () -> Trace.set_enabled false)
     f
-
-let pool_of =
-  let tbl = Hashtbl.create 4 in
-  fun size ->
-    match Hashtbl.find_opt tbl size with
-    | Some p -> p
-    | None ->
-        let p = Pool.create ~size in
-        Hashtbl.add tbl size p;
-        p
 
 (* ---- 1. span nesting ---- *)
 
@@ -117,7 +107,8 @@ let test_unbalanced_enter_closes_at_last_event () =
 (* ---- 2. per-domain buffers merge in ascending domain order ---- *)
 
 let test_per_domain_merge_order () =
-  let pool = pool_of 3 in
+  let pool = Pool.create ~size:3 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   with_tracing (fun () ->
       (* Three lanes: caller domain plus two workers, each recording its
          own pool.lane span into its own buffer. *)
@@ -180,15 +171,14 @@ let analyze db plan = (Lazy.force (Rewrite.analyze_db db plan).Rewrite.gus)
 let prop_traced_equals_untraced =
   QCheck2.Test.make ~name:"traced Sbox.of_plan = untraced (bit-identical)"
     ~count:10
-    ~print:(fun (seed, psize) -> Printf.sprintf "seed=%d pool=%d" seed psize)
-    QCheck2.Gen.(pair (int_range 0 10_000) (oneofl [ 1; 2; 4 ]))
-    (fun (seed, psize) ->
+    ~print:(fun seed -> Printf.sprintf "seed=%d" seed)
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
       let db = db () in
       let plan = Harness.query1_plan () in
       let gus = analyze db plan in
-      let pool = pool_of psize in
       let run () =
-        Sbox.of_plan ~pool ~gus ~f:Harness.revenue_f db (Rng.create seed) plan
+        Sbox.of_plan ~gus ~f:Harness.revenue_f db (Rng.create seed) plan
       in
       let off = run () in
       Trace.set_enabled true;
@@ -219,9 +209,8 @@ let test_exec_profiled_matches_exec () =
     (fun seed ->
       let plain = Splan.exec db (Rng.create seed) plan in
       let profiled, profs = Splan.exec_profiled db (Rng.create seed) plan in
-      (* Bit-identical sample: exec_profiled must consume the RNG in the
-         same order as exec (right child before left, like OCaml's
-         right-to-left argument evaluation in exec's recursive calls). *)
+      (* Bit-identical sample: exec_profiled and exec are the same
+         walk, consuming the RNG in the same order. *)
       check_int
         (Printf.sprintf "seed %d: same cardinality" seed)
         (Relation.cardinality plain)

@@ -1,13 +1,16 @@
-(* Streaming / pool-parallel determinism tests:
+(* Determinism tests:
 
-   1. A Moments.Acc fed in arbitrary chunks and merged agrees with the
-      one-shot of_pairs kernel to 1e-9 relative, for pool sizes 1, 2, 4.
+   1. A Moments.Acc fed one stream, and finalized at random checkpoints
+      along the way, agrees with the one-shot of_pairs kernel to 1e-9
+      relative: finalize is non-destructive.
    2. The streaming Sbox.of_plan path is bit-identical on
       estimate/total_f/n_tuples to the materializing exec + of_relation
       path for any seed, and within 1e-9 on the moment-derived fields.
-   3. Under a pool, Sbox.of_plan is pool-size invariant: the sample is
-      identical for every lane count and the report values agree to 1e-9
-      (chunked feeding reassociates the float sums, nothing else).
+   3. One sample per (plan, seed): over random executable plans with
+      RNG-consuming samplers on either or both join sides, exec,
+      exec_profiled and the tuples fold_stream visits are the same rows
+      in the same order, and every profile's rows_in is the sum of its
+      children's rows_out.
    4. Harness.trials_par and map_trials_par return bit-identical results
       for every lane count, including no pool at all. *)
 
@@ -16,8 +19,10 @@ module Rewrite = Gus_analysis.Rewrite
 module Moments = Gus_estimator.Moments
 module Sbox = Gus_estimator.Sbox
 module Harness = Gus_experiments.Harness
+module Sampler = Gus_sampling.Sampler
 module Pool = Gus_util.Pool
 module Rng = Gus_util.Rng
+open Gus_relational
 
 let check_bool = Alcotest.check Alcotest.bool
 let check_int = Alcotest.check Alcotest.int
@@ -26,7 +31,7 @@ let rel_close ?(tol = 1e-9) a b =
   Float.abs (a -. b) <= tol *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
 
 (* One pool per size for the whole binary; the at_exit registry reaps
-   them, and reuse keeps the QCheck loops from respawning domains. *)
+   them, and reuse keeps the loops from respawning domains. *)
 let pool_of =
   let tbl = Hashtbl.create 4 in
   fun size ->
@@ -37,7 +42,7 @@ let pool_of =
         Hashtbl.add tbl size p;
         p
 
-(* ---- 1. Acc chunked feed + merge = of_pairs ---- *)
+(* ---- 1. Acc checkpointed feed = of_pairs ---- *)
 
 let acc_case_gen =
   QCheck2.Gen.(
@@ -45,50 +50,32 @@ let acc_case_gen =
     array_size (int_range 0 160)
       (pair (array_size (pure n_rels) (int_range 0 5)) (float_range (-8.0) 8.0))
     >>= fun pairs ->
-    list_size (int_range 0 4) (int_range 0 (Array.length pairs)) >>= fun cuts ->
-    oneofl [ 1; 2; 4 ] >|= fun psize -> (n_rels, pairs, cuts, psize))
+    list_size (int_range 0 4) (int_range 0 (Array.length pairs)) >|= fun cuts ->
+    (n_rels, pairs, cuts))
 
-let prop_acc_chunked_matches_of_pairs =
-  QCheck2.Test.make ~name:"Acc chunked+merged = of_pairs (1e-9)" ~count:120
-    ~print:(fun (n_rels, pairs, cuts, psize) ->
-      Printf.sprintf "n_rels=%d n=%d cuts=[%s] pool=%d" n_rels
-        (Array.length pairs)
-        (String.concat ";" (List.map string_of_int cuts))
-        psize)
+let prop_acc_checkpointed_matches_of_pairs =
+  QCheck2.Test.make ~name:"Acc checkpointed = of_pairs (1e-9)" ~count:120
+    ~print:(fun (n_rels, pairs, cuts) ->
+      Printf.sprintf "n_rels=%d n=%d cuts=[%s]" n_rels (Array.length pairs)
+        (String.concat ";" (List.map string_of_int cuts)))
     acc_case_gen
-    (fun (n_rels, pairs, cuts, psize) ->
+    (fun (n_rels, pairs, cuts) ->
       let n = Array.length pairs in
-      (* Random cut points -> a partition of [0, n) into feed chunks. *)
-      let bounds = List.sort_uniq compare (0 :: n :: cuts) in
-      let rec segs = function
-        | a :: (b :: _ as rest) -> (a, b) :: segs rest
-        | _ -> []
-      in
-      let accs =
-        List.map
-          (fun (lo, hi) ->
-            let acc = Moments.Acc.create ~hint:4 ~n_rels () in
-            for i = lo to hi - 1 do
-              let l, f = pairs.(i) in
-              Moments.Acc.add acc l f
-            done;
-            acc)
-          (segs bounds)
-      in
-      let acc =
-        match accs with
-        | [] -> Moments.Acc.create ~n_rels ()
-        | a :: rest ->
-            List.iter (fun b -> Moments.Acc.merge a b) rest;
-            a
-      in
-      let y = Moments.Acc.finalize ~pool:(pool_of psize) acc in
+      let acc = Moments.Acc.create ~hint:4 ~n_rels () in
+      (* Finalize at every cut point, then keep feeding. *)
+      let cuts = List.sort_uniq compare cuts in
+      Array.iteri
+        (fun i (l, f) ->
+          if List.mem i cuts then ignore (Moments.Acc.finalize acc);
+          Moments.Acc.add acc l f)
+        pairs;
+      let y = Moments.Acc.finalize acc in
       let expect = Moments.of_pairs ~n_rels pairs in
       Moments.Acc.count acc = n
       && Array.length y = Array.length expect
       && Array.for_all2 (fun a b -> rel_close a b) y expect)
 
-(* ---- 2/3. streaming Sbox vs materializing, and pool-size invariance ---- *)
+(* ---- 2. streaming Sbox vs materializing ---- *)
 
 let db () = Harness.db_cached ~scale:0.1
 
@@ -111,37 +98,118 @@ let prop_stream_matches_materializing =
       && rel_close s.Sbox.variance m.Sbox.variance
       && Array.for_all2 (fun a b -> rel_close a b) s.Sbox.y_hat m.Sbox.y_hat)
 
-let test_of_plan_pool_size_invariant () =
-  let db = db () in
-  let plan = Harness.query1_plan () in
-  let gus = analyze db plan in
-  List.iter
-    (fun seed ->
-      let report size =
-        Sbox.of_plan ~pool:(pool_of size) ~gus ~f:Harness.revenue_f db
-          (Rng.create seed) plan
+(* ---- 3. one sample per (plan, seed) ---- *)
+
+(* A base relation, maybe filtered by [pred] (Vexpr-compilable) and
+   maybe sampled. *)
+let leaf_gen db name pred =
+  let card = Relation.cardinality (Database.find db name) in
+  QCheck2.Gen.(
+    let sampler =
+      oneof
+        [ map (fun p -> Sampler.Bernoulli p) (float_range 0.2 0.9);
+          map (fun n -> Sampler.Wor n) (int_range 1 card);
+          map2
+            (fun seed p -> Sampler.Hash_bernoulli { seed; p })
+            (int_range 0 1000) (float_range 0.2 0.9) ]
+    in
+    map2
+      (fun filtered s ->
+        let q = Splan.Scan name in
+        let q = if filtered then Splan.Select (pred, q) else q in
+        match s with Some s -> Splan.Sample (s, q) | None -> q)
+      bool (opt sampler))
+
+(* Either operand order: the right side runs (and draws) first. *)
+let join_gen a b ~on:(ka, kb) =
+  QCheck2.Gen.(
+    map3
+      (fun a b swap ->
+        if swap then
+          Splan.Equi_join
+            { left = b; right = a; left_key = Expr.col kb; right_key = Expr.col ka }
+        else
+          Splan.Equi_join
+            { left = a; right = b; left_key = Expr.col ka; right_key = Expr.col kb })
+      a b bool)
+
+let plan_gen db =
+  let lineitem = leaf_gen db "lineitem" Expr.(col "l_quantity" < float 25.0)
+  and orders = leaf_gen db "orders" Expr.(col "o_totalprice" > float 100000.0)
+  and customer = leaf_gen db "customer" Expr.(col "c_acctbal" > float 0.0) in
+  QCheck2.Gen.(
+    let two = join_gen lineitem orders ~on:("l_orderkey", "o_orderkey") in
+    let three = join_gen two customer ~on:("o_custkey", "c_custkey") in
+    (* Above the joins: a filter and a sampler that may stream. *)
+    let top =
+      opt
+        (oneof
+           [ map (fun p -> Sampler.Bernoulli p) (float_range 0.2 0.9);
+             map (fun n -> Sampler.Wor n) (int_range 1 400) ])
+    in
+    map3
+      (fun core filtered s ->
+        let q =
+          if filtered then Splan.Select (Expr.(col "l_quantity" > float 10.0), core)
+          else core
+        in
+        match s with Some s -> Splan.Sample (s, q) | None -> q)
+      (oneof [ lineitem; two; three ]) bool top)
+
+let tuples rel = Array.init (Relation.cardinality rel) (Relation.tuple rel)
+
+let same_tuple (a : Tuple.t) (b : Tuple.t) =
+  a.Tuple.lineage = b.Tuple.lineage
+  && Array.length a.Tuple.values = Array.length b.Tuple.values
+  && Array.for_all2
+       (fun x y ->
+         match (x, y) with
+         | Value.Float x, Value.Float y ->
+             Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+         | x, y -> x = y)
+       a.Tuple.values b.Tuple.values
+
+let same_rows a b = Array.length a = Array.length b && Array.for_all2 same_tuple a b
+
+(* Every node's rows_in is the sum of its children's rows_out; a Scan's
+   is its own. *)
+let profiles_consistent plan profs =
+  let rows_out path =
+    (List.find (fun p -> p.Splan.np_path = path) profs).Splan.np_rows_out
+  in
+  List.for_all
+    (fun p ->
+      match Splan.subtree plan p.Splan.np_path with
+      | Some (Splan.Scan _) -> p.Splan.np_rows_in = p.Splan.np_rows_out
+      | Some node ->
+          let kids =
+            List.mapi (fun i _ -> p.Splan.np_path @ [ i ]) (Splan.children node)
+          in
+          p.Splan.np_rows_in = List.fold_left (fun acc k -> acc + rows_out k) 0 kids
+      | None -> false)
+    profs
+
+let rec node_count plan =
+  1 + List.fold_left (fun acc c -> acc + node_count c) 0 (Splan.children plan)
+
+let prop_one_sample_per_seed =
+  let db = Harness.db_cached ~scale:0.01 in
+  QCheck2.Test.make ~name:"one sample per (plan, seed)"
+    ~count:200
+    ~print:(fun (plan, seed) -> Format.asprintf "seed=%d plan=%a" seed Splan.pp plan)
+    QCheck2.Gen.(pair (plan_gen db) (int_range 0 10_000))
+    (fun (plan, seed) ->
+      let plain = tuples (Splan.exec db (Rng.create seed) plan) in
+      let profiled, profs = Splan.exec_profiled db (Rng.create seed) plan in
+      let streamed =
+        Splan.fold_stream db (Rng.create seed) plan ~init:(fun _ -> [])
+          ~f:(fun acc tup -> tup :: acc)
+        |> List.rev |> Array.of_list
       in
-      let r1 = report 1 in
-      List.iter
-        (fun size ->
-          let r = report size in
-          check_int
-            (Printf.sprintf "seed %d pool %d: n_tuples" seed size)
-            r1.Sbox.n_tuples r.Sbox.n_tuples;
-          check_bool
-            (Printf.sprintf "seed %d pool %d: estimate 1e-9" seed size)
-            true
-            (rel_close r1.Sbox.estimate r.Sbox.estimate);
-          check_bool
-            (Printf.sprintf "seed %d pool %d: variance 1e-9" seed size)
-            true
-            (rel_close r1.Sbox.variance r.Sbox.variance);
-          check_bool
-            (Printf.sprintf "seed %d pool %d: y_hat 1e-9" seed size)
-            true
-            (Array.for_all2 (fun a b -> rel_close a b) r1.Sbox.y_hat r.Sbox.y_hat))
-        [ 2; 4 ])
-    [ 3; 17 ]
+      same_rows plain (tuples profiled)
+      && same_rows plain streamed
+      && List.length profs = node_count plan
+      && profiles_consistent plan profs)
 
 (* ---- 4. trials_par bit-identical across lane counts ---- *)
 
@@ -180,15 +248,14 @@ let test_map_trials_par_lane_invariant () =
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_acc_chunked_matches_of_pairs; prop_stream_matches_materializing ]
+    [ prop_acc_checkpointed_matches_of_pairs; prop_stream_matches_materializing;
+      prop_one_sample_per_seed ]
 
 let () =
   Alcotest.run "parallel"
     [ ("properties", qcheck_tests);
       ( "pool-invariance",
-        [ Alcotest.test_case "of_plan pool sizes 1/2/4" `Quick
-            test_of_plan_pool_size_invariant;
-          Alcotest.test_case "trials_par lanes 0/1/2/3" `Quick
+        [ Alcotest.test_case "trials_par lanes 0/1/2/3" `Quick
             test_trials_par_lane_invariant;
           Alcotest.test_case "map_trials_par lanes 0/1/2/3" `Quick
             test_map_trials_par_lane_invariant ] ) ]
