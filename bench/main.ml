@@ -125,6 +125,14 @@ let micro_specs ~quota () =
   let pairs4_10k = pairs 4 10_000 in
   (* 10-relation lineage: the dense kernel's 1023 subset passes. *)
   let pairs10_10k = pairs 10 10_000 in
+  (* The moments kernel's passes over an accumulator filled once from a
+     pairs array, with [values f] as each tuple's values. *)
+  let kernel ~n_rels ?(values = fun f -> [| f |]) pairs =
+    let k = Array.length (values 0.0) in
+    let acc = Moments.Acc.create ~hint:(Array.length pairs) ~k ~n_rels () in
+    Array.iter (fun (l, f) -> Moments.Acc.add_values acc l (values f)) pairs;
+    fun () -> ignore (Moments.Acc.finalize acc)
+  in
   (* 20-relation lineage, 3 sampled: past the dense wall (the moments
      kernel would need 2^20 passes and the rewrite a 2^20 b-vector).  The
      symbolic row projects the factorized design onto its 3 live
@@ -310,33 +318,23 @@ let micro_specs ~quota () =
     { name = "sbox/moments-2rel-10k";
       quota_floor = fit_quota_floor;
       warmup = 1;
-      body = (fun () -> ignore (Moments.of_pairs ~n_rels:2 pairs2_10k)) };
+      body = kernel ~n_rels:2 pairs2_10k };
     { name = "sbox/moments-4rel-10k";
       quota_floor = fit_quota_floor;
       warmup = 1;
-      body = (fun () -> ignore (Moments.of_pairs ~n_rels:4 pairs4_10k)) };
-    (* Multicore fan-out of the subset passes (threshold forced off so the
-       pool is exercised even at 10k tuples). *)
-    { name = "sbox/moments-4rel-10k-par";
-      quota_floor = fit_quota_floor;
-      warmup = 1;
-      body =
-        (fun () ->
-          ignore (Moments.of_pairs ~pool ~par_threshold:0 ~n_rels:4 pairs4_10k)) };
+      body = kernel ~n_rels:4 pairs4_10k };
+    (* Two values per tuple (f twice): the k = 2 run behind covariance
+       and AVG. *)
     { name = "sbox/bilinear-4rel-10k";
       quota_floor = fit_quota_floor;
       warmup = 1;
-      body =
-        (fun () ->
-          ignore
-            (Moments.bilinear_of_pairs ~n_rels:4
-               (Array.map (fun (l, f) -> (l, f, f)) pairs4_10k))) };
+      body = kernel ~n_rels:4 ~values:(fun f -> [| f; f |]) pairs4_10k };
     (* Every one of the 2^10 − 1 subset passes: what a 10-relation
        lineage would cost without the live projection. *)
     { name = "sbox/moments-dense-n10";
       quota_floor = heavy_quota_floor;
       warmup = 1;
-      body = (fun () -> ignore (Moments.of_pairs ~n_rels:10 pairs10_10k)) };
+      body = kernel ~n_rels:10 pairs10_10k };
     (* The headline symbolic row: everything from factorized design to
        variance on a 20-relation lineage no dense path can touch.  Read
        against sbox/moments-dense-n10 — same kernel, same 10k tuples,
@@ -362,9 +360,10 @@ let micro_specs ~quota () =
       quota_floor = heavy_quota_floor;
       warmup = 1;
       body = (fun () -> ignore (Splan.exec db (Gus_util.Rng.create 6) q1)) };
-    (* Streaming pipeline: same plan, same seed, but the result tuples fold
-       straight into the moments accumulator — the row to read against
-       exec-query1-sampled + sbox-query1-e2e, whose sum it replaces. *)
+    (* The whole estimate: Splan.exec of the same plan and seed, then the
+       live lineage columns and revenue values through the moments kernel
+       (Sbox.of_plan) — read against exec-query1-sampled +
+       sbox-query1-e2e, the two halves it runs. *)
     { name = "sbox/stream-query1";
       quota_floor = heavy_quota_floor;
       warmup = 1;

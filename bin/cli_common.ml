@@ -27,10 +27,10 @@ let json_arg =
 
 let pool_size_arg =
   let doc = "Size of the default domain pool (overrides \
-             $(b,GUSDB_DOMAINS); 1 disables parallelism).  It runs the \
-             moment passes over at least 4096 pairs, $(b,serve)'s \
-             $(b,batch) and the experiment trial loops; plan execution \
-             is always sequential." in
+             $(b,GUSDB_DOMAINS); 1 disables parallelism).  It runs \
+             $(b,serve)'s $(b,batch) and the experiment trial loops; \
+             plan execution and the moment passes of an estimate are \
+             always sequential." in
   Arg.(value & opt (some int) None & info [ "pool-size" ] ~docv:"N" ~doc)
 
 let apply_pool_size = function

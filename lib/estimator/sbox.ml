@@ -73,74 +73,58 @@ let lineage_mismatch gus lschema =
        (String.concat "," (Array.to_list gus.Gus.rels))
        (String.concat "," (Array.to_list lschema)))
 
-(* Where [gus]'s relations sit in a lineage schema, as the moments
-   kernel's [(view, lineage_width)]: [gus] spans the schema itself
-   (identity view) or its live-relation projection — the live relations
-   in schema order, the dropped ones carrying no sampling randomness. *)
-let kernel_view gus lschema =
+(* Where [gus]'s relations sit in a lineage schema: the slots the
+   kernel groups on.  [gus] spans the schema itself or its live-relation
+   projection — the live relations in schema order, the dropped ones
+   carrying no sampling randomness. *)
+let live_slots gus lschema =
   let rels = gus.Gus.rels in
   let k = Array.length rels in
-  let view = Array.make k 0 in
+  let slots = Array.make k 0 in
   let j = ref 0 in
   Array.iteri
     (fun i r ->
       if !j < k && String.equal rels.(!j) r then begin
-        view.(!j) <- i;
+        slots.(!j) <- i;
         incr j
       end)
     lschema;
   if !j < k then lineage_mismatch gus lschema;
-  let width = Array.length lschema in
-  ((if k = width then None else Some view), width)
-
-let of_pairs ~gus pairs =
-  let y_raw = Moments.of_pairs ~n_rels:(Gus.n_rels gus) pairs in
-  report ~gus ~n_tuples:(Array.length pairs) ~total_f:(Moments.total pairs)
-    y_raw
+  slots
 
 let check_schema gus rel =
   let lschema = rel.Relation.lineage_schema in
   if gus.Gus.rels <> lschema then lineage_mismatch gus lschema
 
-(* The materializing paths read only the live lineage columns: the
-   kernel groups on nothing else, so the moments are the view kernel's
-   bit for bit, without copying the dropped relations' ids into every
-   pair. *)
-let live_lineage gus rel =
-  match kernel_view gus rel.Relation.lineage_schema with
-  | None, _ -> rel
-  | Some view, _ -> Relation.restrict_lineage rel view
+type moments = {
+  m_gus : Gus.t;
+  m_tuples : int;
+  m_totals : float array;
+  m_y : float array array array;
+}
 
-let of_relation ~gus ~f rel =
-  let pairs = Moments.pairs_of_relation ~f (live_lineage gus rel) in
-  let y_raw = Moments.of_pairs ~n_rels:(Gus.n_rels gus) pairs in
-  report ~gus ~n_tuples:(Array.length pairs) ~total_f:(Moments.total pairs)
-    y_raw
+let moments ~gus ~fs ?rows rel =
+  let slots = live_slots gus rel.Relation.lineage_schema in
+  let acc = Moments.feed ?rows ~slots ~fs rel in
+  { m_gus = gus;
+    m_tuples = Moments.Acc.count acc;
+    m_totals = Array.init (Array.length fs) (Moments.Acc.total acc);
+    m_y = Moments.Acc.finalize acc }
 
-let report_of_acc ~gus acc =
-  if Moments.Acc.n_rels acc <> Gus.n_rels gus then
-    invalid_arg "Sbox.report_of_acc: accumulator arity does not match GUS";
-  let y_raw = Moments.Acc.finalize acc in
-  report ~gus ~n_tuples:(Moments.Acc.count acc)
-    ~total_f:(Moments.Acc.total acc) y_raw
+let report_of m i =
+  report ~gus:m.m_gus ~n_tuples:m.m_tuples ~total_f:m.m_totals.(i)
+    m.m_y.(i).(i)
+
+(* The Ŷ correction is linear in the moments, so it applies verbatim to
+   the bilinear ones. *)
+let covariance_of m i j =
+  Gus.variance m.m_gus ~y:(y_hat_of_moments ~gus:m.m_gus m.m_y.(i).(j))
+
+let of_relation ~gus ~f rel = report_of (moments ~gus ~fs:[| f |] rel) 0
 
 let of_plan ~gus ~f db rng plan =
   Gus_obs.Trace.span "sbox.of_plan" @@ fun () ->
-  let view, lineage_width = kernel_view gus (Splan.lineage_schema plan) in
-  let n = Gus.n_rels gus in
-  let init schema =
-    let eval = Expr.bind_float schema f in
-    (Moments.Acc.create ?view ~lineage_width ~n_rels:n (), eval)
-  in
-  let feed (acc, eval) tup =
-    Moments.Acc.add acc tup.Tuple.lineage (eval tup);
-    (acc, eval)
-  in
-  let acc, _ = Splan.fold_stream db rng plan ~init ~f:feed in
-  Gus_obs.Trace.span "sbox.report_of_acc"
-    ~args:(fun () ->
-      [ ("tuples", string_of_int (Moments.Acc.count acc)) ])
-    (fun () -> report_of_acc ~gus acc)
+  of_relation ~gus ~f (Splan.exec db rng plan)
 
 let interval ?(coverage = 0.95) method_ report =
   Interval.make ~method_ ~coverage ~estimate:report.estimate ~stddev:report.stddev
@@ -178,8 +162,7 @@ let subsampled ~gus ~f ~target ~seed rel =
   let y_hat = y_hat_of_moments ~gus:g_stacked y_raw_sub in
   (* Estimate from the *full* sample; only the moments come from the
      subsample. *)
-  let pairs = Moments.pairs_of_relation ~f rel in
-  let total_f = Moments.total pairs in
+  let total_f = Moments.Acc.total (Moments.feed ~slots:[||] ~fs:[| f |] rel) 0 in
   let estimate = Gus.scale_up gus total_f in
   let variance_raw = Gus.variance gus ~y:y_hat in
   let variance = Float.max 0.0 variance_raw in
@@ -200,15 +183,7 @@ let stream ?(seed = 42) db plan ~f =
   let gus = Lazy.force analysis.Rewrite.live in
   (of_plan ~gus ~f db rng plan, analysis)
 
-let covariance ~gus ~f ~g rel =
-  let y_raw =
-    Moments.bilinear_of_pairs ~n_rels:(Gus.n_rels gus)
-      (Moments.triples_of_relation ~f ~g (live_lineage gus rel))
-  in
-  (* The Ŷ correction is linear in the moments, so it applies verbatim to
-     the bilinear ones. *)
-  let y_hat = y_hat_of_moments ~gus y_raw in
-  Gus.variance gus ~y:y_hat
+let covariance ~gus ~f ~g rel = covariance_of (moments ~gus ~fs:[| f; g |] rel) 0 1
 
 type ratio_report = {
   ratio_estimate : float;
@@ -218,13 +193,12 @@ type ratio_report = {
   denominator : report;
 }
 
-let ratio ~gus ~f ~g rel =
-  let numerator = of_relation ~gus ~f rel in
-  let denominator = of_relation ~gus ~f:g rel in
+let ratio_of m i j =
+  let numerator = report_of m i and denominator = report_of m j in
   if denominator.estimate = 0.0 then
     invalid_arg "Sbox.ratio: denominator estimate is zero";
   let r = numerator.estimate /. denominator.estimate in
-  let cov = covariance ~gus ~f ~g rel in
+  let cov = covariance_of m i j in
   let mu_g2 = denominator.estimate *. denominator.estimate in
   let v =
     (numerator.variance_raw -. (2.0 *. r *. cov)
@@ -238,6 +212,8 @@ let ratio ~gus ~f ~g rel =
     numerator;
     denominator }
 
+let ratio ~gus ~f ~g rel = ratio_of (moments ~gus ~fs:[| f; g |] rel) 0 1
+
 let avg ~gus ~f rel = ratio ~gus ~f ~g:(Expr.float 1.0) rel
 
 type multi_report = {
@@ -247,16 +223,15 @@ type multi_report = {
 }
 
 let multi ~gus ~fs rel =
-  ignore (kernel_view gus rel.Relation.lineage_schema);
   let labels = Array.of_list (List.map fst fs) in
-  let exprs = Array.of_list (List.map snd fs) in
-  let k = Array.length exprs in
-  let reports = Array.map (fun f -> of_relation ~gus ~f rel) exprs in
+  let m = moments ~gus ~fs:(Array.of_list (List.map snd fs)) rel in
+  let k = Array.length labels in
+  let reports = Array.init k (report_of m) in
   let cov = Array.make_matrix k k 0.0 in
   for i = 0 to k - 1 do
     cov.(i).(i) <- reports.(i).variance_raw;
     for j = i + 1 to k - 1 do
-      let c = covariance ~gus ~f:exprs.(i) ~g:exprs.(j) rel in
+      let c = covariance_of m i j in
       cov.(i).(j) <- c;
       cov.(j).(i) <- c
     done

@@ -1,7 +1,7 @@
 (** The SBox — the paper's statistical estimator component (Section 6).
 
     Given the GUS describing the sampling process and the sampled result
-    tuples' [(lineage, f)] stream, it produces the unbiased estimate, an
+    tuples' lineage and aggregate values, it produces the unbiased estimate, an
     unbiased variance estimate (via the Ŷ_S correction of Section 6.3) and
     confidence intervals / quantile bounds (Section 6.4).
 
@@ -29,9 +29,6 @@ type report = {
   stddev : float;
 }
 
-val of_pairs : gus:Gus_core.Gus.t -> (int array * float) array -> report
-(** Core entry point.  Lineage arrays must align with [gus.rels]. *)
-
 val of_relation :
   gus:Gus_core.Gus.t ->
   f:Gus_relational.Expr.t ->
@@ -40,11 +37,6 @@ val of_relation :
 (** Raises [Invalid_argument] unless [gus.rels] is the relation's lineage
     schema or a projection of it. *)
 
-val report_of_acc : gus:Gus_core.Gus.t -> Moments.Acc.t -> report
-(** Finalize a streaming accumulator into a full report; {!of_plan}'s
-    last step.  Non-destructive: the accumulator can keep absorbing
-    tuples and be reported again. *)
-
 val of_plan :
   gus:Gus_core.Gus.t ->
   f:Gus_relational.Expr.t ->
@@ -52,17 +44,36 @@ val of_plan :
   Gus_util.Rng.t ->
   Gus_core.Splan.t ->
   report
-(** Streaming twin of [exec] + {!of_relation}: the plan's result tuples
-    are folded straight into a fresh {!Moments.Acc} via
-    {!Gus_core.Splan.fold_stream} — no result relation, no pairs array.
-    Sequential: same seed ⇒ same tuples and bit-identical [estimate]/
-    [total_f]/[n_tuples] as the materializing path (moment sums can
-    differ in final bits from reduction order).  Every online estimator
-    ([Online], [Progressive], [Shedding]) calls it once per estimate.
-    [gus] spans the plan's lineage schema or its live projection, as for
-    {!of_relation}: over a live projection the moment passes group on
-    the live columns of the native lineages, which is how estimation
-    works past the dense [2^n] wall. *)
+(** {!Gus_core.Splan.exec} followed by {!of_relation}: one seed, one
+    sample, one set of bits.  Every online estimator ([Online],
+    [Progressive], [Shedding]) calls it once per estimate.  [gus] spans
+    the plan's lineage schema or its live projection, as for
+    {!of_relation}. *)
+
+(** {1 One kernel run, several aggregates}
+
+    Every entry point below and above runs the same feed: the sample's
+    live lineage columns and [k] SUM-like values through one
+    {!Moments.Acc}.  AVG is [k = 2] ([f] and [1]); a multi-aggregate
+    SELECT is [k] = its distinct SUM-like values. *)
+
+type moments
+(** One kernel run: the values' totals and cross moments over a sample,
+    or over some of its rows. *)
+
+val moments :
+  gus:Gus_core.Gus.t ->
+  fs:Gus_relational.Expr.t array ->
+  ?rows:int array ->
+  Gus_relational.Relation.t ->
+  moments
+(** Feed the relation's rows (all, or [rows] in that order) to the
+    kernel with the values [fs].  Raises [Invalid_argument] as
+    {!of_relation} does. *)
+
+val report_of : moments -> int -> report
+(** The SUM report of value [i] — bit-identical to {!of_relation} on
+    [fs.(i)] over the same rows. *)
 
 val y_hat_of_moments : gus:Gus_core.Gus.t -> float array -> float array
 (** The Section-6.3 unbiased correction: raw sample moments [Y] →
@@ -97,8 +108,7 @@ val stream :
   f:Gus_relational.Expr.t ->
   report * Gus_analysis.Rewrite.result
 (** Analyze the plan, then estimate it end to end via {!of_plan} over
-    its live projection ({!Gus_analysis.Rewrite.result.live}) — the
-    whole pipeline without ever materializing the sampled result, at any
+    its live projection ({!Gus_analysis.Rewrite.result.live}), at any
     plan width.  The report's [gus] and [y_hat] span the live relations
     only.  Raises {!Gus_analysis.Rewrite.Unsupported} on plans outside
     the GUS theory, and when the {e live} set alone exceeds the dense
@@ -133,6 +143,9 @@ val ratio : gus:Gus_core.Gus.t -> f:Gus_relational.Expr.t -> g:Gus_relational.Ex
 
 val avg : gus:Gus_core.Gus.t -> f:Gus_relational.Expr.t -> Gus_relational.Relation.t -> ratio_report
 
+val ratio_of : moments -> int -> int -> ratio_report
+(** {!ratio} of values [i] over [j] from one kernel run. *)
+
 type multi_report = {
   labels : string array;
   reports : report array;
@@ -147,8 +160,8 @@ val multi :
   Gus_relational.Relation.t ->
   multi_report
 (** Joint analysis of several SUM aggregates over one sample: estimates
-    plus their full covariance matrix (pairwise bilinear moments, each with
-    the unbiased Ŷ correction). *)
+    plus their full covariance matrix (the cross moments of one kernel
+    run, each with the unbiased Ŷ correction). *)
 
 val linear_combination : multi_report -> float array -> float * float
 (** [(estimate, stddev)] of [Σ w_i·SUM_i]: the estimate is the weighted

@@ -64,7 +64,9 @@ let run () =
       let pairs = synthetic_pairs ~n_rels:2 ~m ~seed:5 in
       let us =
         Harness.median_time_us ~repeats:5 (fun () ->
-            ignore (Moments.of_pairs ~n_rels:2 pairs))
+            let acc = Moments.Acc.create ~hint:m ~n_rels:2 () in
+            Array.iter (fun (l, f) -> Moments.Acc.add acc l f) pairs;
+            ignore (Moments.Acc.finalize acc))
       in
       Tablefmt.add_row t2
         [ string_of_int m;

@@ -140,8 +140,8 @@ let trial_acc_merge a b =
     hits_normal = a.hits_normal + b.hits_normal;
     hits_cheby = a.hits_cheby + b.hits_cheby }
 
-(* One Monte-Carlo trial: stream the plan into an estimate (no result
-   relation materialized) and score it against the truth. *)
+(* One Monte-Carlo trial: estimate the plan (Sbox.of_plan) and score it
+   against the truth. *)
 let one_trial ~gus ~truth db plan ~f acc rng =
   let r = Sbox.of_plan ~gus ~f db rng plan in
   Summary.add acc.estimates r.Sbox.estimate;

@@ -58,7 +58,7 @@ val trials :
   f:Gus_relational.Expr.t ->
   trial_stats
 (** Repeatedly execute the plan with fresh RNGs (trial [t] seeds
-    [seed + 7919·t]), stream each run through the SBox, and aggregate
+    [seed + 7919·t]), estimate each run with the SBox, and aggregate
     accuracy statistics against the exact answer. *)
 
 val trials_par :

@@ -174,143 +174,6 @@ let exec_exact db q =
   (* No sampling remains, so the RNG is never consulted. *)
   exec db (Gus_util.Rng.create 0) (strip_samples q)
 
-(* ------------------------------------------------------------------ *)
-(* Streaming execution.
-
-   A plan splits into a blocking [core] (joins, Distinct, the
-   cardinality-dependent samplers) that must materialize, and a
-   {e streamable suffix} of per-tuple stages above it — Select, Project,
-   Bernoulli, Hash_bernoulli — through which the core's tuples can be
-   pushed one at a time without ever materializing the result relation.
-
-   The split is RNG-faithful: it keeps at most ONE RNG-consuming sampler
-   in the suffix.  [exec] runs each operator as a full-relation pass
-   (bottom-up), so a single suffix Bernoulli draws once per tuple
-   {e reaching it}, in input order; the streaming interleaving performs
-   exactly the same draws in the same order (the other suffix stages
-   consume no randomness), hence [fold_stream] visits precisely the
-   tuples [exec] would output.  A second RNG-consuming sampler would
-   interleave two draw sequences that [exec] performs pass-by-pass, so
-   the split stops there and leaves it to the core. *)
-
-type stream_stage =
-  | St_select of Expr.t
-  | St_project of (string * Expr.t) list
-  | St_bernoulli of float
-  | St_hash of { seed : int; p : float }
-
-(* Returns the blocking core and the suffix stages bottom-up (head is
-   the stage nearest the core). *)
-let split_stream plan =
-  let rec go acc nrng = function
-    | Select (e, q) -> go (St_select e :: acc) nrng q
-    | Project (fs, q) -> go (St_project fs :: acc) nrng q
-    | Sample (Sampler.Bernoulli p, q) when nrng = 0 ->
-        Sampler.validate (Sampler.Bernoulli p);
-        go (St_bernoulli p :: acc) 1 q
-    | Sample (Sampler.Hash_bernoulli { seed; p }, q)
-      when Array.length (lineage_schema q) = 1 ->
-        Sampler.validate (Sampler.Hash_bernoulli { seed; p });
-        go (St_hash { seed; p } :: acc) nrng q
-    | core -> (core, acc)
-  in
-  go [] 0 plan
-
-(* The schema the bottom-up stages leave on top of [core_schema]. *)
-let stages_schema stages core_schema =
-  List.fold_left
-    (fun sc -> function
-      | St_project fs -> Ops.project_schema fs sc
-      | St_select _ | St_bernoulli _ | St_hash _ -> sc)
-    core_schema stages
-
-(* Compile the bottom-up stages against the core's output schema into
-   one push chain, a [Tuple.t -> unit] feeding survivors to [sink].
-   Folds bottom-up, composing outward: the innermost closure is the
-   sink, each stage wraps what is above it. *)
-let compile_stages rng stages core_schema sink =
-  let rec build sc = function
-    | [] -> sink
-    | St_select e :: rest ->
-        let keep = Expr.bind_predicate sc e in
-        let next = build sc rest in
-        fun tup -> if keep tup then next tup
-    | St_project fields :: rest ->
-        let evals = List.map (fun (_, e) -> Expr.bind sc e) fields in
-        let next = build (Ops.project_schema fields sc) rest in
-        fun tup ->
-          let values = Array.of_list (List.map (fun f -> f tup) evals) in
-          next (Tuple.with_values tup values)
-    | St_bernoulli p :: rest ->
-        let next = build sc rest in
-        fun tup -> if Gus_util.Rng.bernoulli rng p then next tup
-    | St_hash { seed; p } :: rest ->
-        let next = build sc rest in
-        fun tup ->
-          if Gus_util.Hashing.prf_float ~seed tup.Tuple.lineage.(0) < p then
-            next tup
-  in
-  build core_schema stages
-
-(* Columnar streaming prefix.  The leading suffix stages that are
-   expressible as pure-ish per-index filters — a Vexpr-compilable
-   Select, the single Bernoulli, a Hash_bernoulli — run directly over
-   the columns; a [Tuple.t] is built
-   only for rows that survive them.  Draw order is untouched: filters
-   compose in stage order with short-circuit (a tuple the row path drops
-   at a Select never reaches the Bernoulli, so the index path must not
-   draw for it either), and the Bernoulli filter consumes the same [rng]
-   the compiled stage would.  Returns the filters (stage order) and the
-   remaining stages for {!compile_stages}; the remaining stages see the
-   unchanged core schema because filter stages never reshape tuples. *)
-let split_index_filters rng core stages =
-  let core_schema = core.Relation.schema in
-  let ccols = core.Relation.cols.Relation.ccols in
-  let rec go acc = function
-    | St_select e :: rest as all -> (
-        match Vexpr.predicate core_schema ccols e with
-        | Some keep -> go (keep :: acc) rest
-        | None -> (List.rev acc, all))
-    | St_bernoulli p :: rest ->
-        go ((fun _ -> Gus_util.Rng.bernoulli rng p) :: acc) rest
-    | St_hash { seed; p } :: rest ->
-        go
-          ((fun i ->
-             Gus_util.Hashing.prf_float ~seed (Relation.lineage_id core ~slot:0 i) < p)
-          :: acc)
-          rest
-    | (St_project _ :: _ | []) as all -> (List.rev acc, all)
-  in
-  go [] stages
-
-let rec passes fs i =
-  match fs with [] -> true | f :: tl -> f i && passes tl i
-
-let m_stream_rows = Gus_obs.Metrics.counter "splan.stream.rows"
-let m_stream_folds = Gus_obs.Metrics.counter "splan.stream.folds"
-
-let account_stream rel =
-  (* O(1): the streamed-tuple count is the core's cardinality, not a
-     per-push increment — nothing rides the per-tuple path. *)
-  if Gus_obs.Metrics.enabled () then begin
-    Gus_obs.Metrics.incr m_stream_folds;
-    Gus_obs.Metrics.add m_stream_rows (Relation.cardinality rel)
-  end
-
-let fold_stream db rng plan ~init ~f =
-  let core, stages = split_stream plan in
-  let rel = exec db rng core in
-  account_stream rel;
-  let filters, rest = split_index_filters rng rel stages in
-  let schema = rel.Relation.schema in
-  let acc = ref (init (stages_schema rest schema)) in
-  let push = compile_stages rng rest schema (fun tup -> acc := f !acc tup) in
-  Gus_obs.Trace.span "splan.stream" (fun () ->
-      for i = 0 to Relation.cardinality rel - 1 do
-        if passes filters i then push (Relation.tuple rel i)
-      done);
-  !acc
-
 let rec pp ppf = function
   | Scan name -> Format.pp_print_string ppf name
   | Select (e, q) -> Format.fprintf ppf "select[%a](%a)" Expr.pp e pp q

@@ -60,7 +60,7 @@ val exec : Database.t -> Gus_util.Rng.t -> t -> Relation.t
 (** Run the plan, sampling with the given RNG.  Execution is sequential
     and a binary node runs its right child before its left, so one seed
     names one sample: every entry point that executes a plan ({!exec},
-    {!exec_profiled}, {!fold_stream}) draws exactly this one.  With
+    {!exec_profiled}) draws exactly this one.  With
     tracing on, every executed plan node is one [Gus_obs.Trace] span
     carrying its [rows_out]. *)
 
@@ -81,24 +81,6 @@ val exec_profiled :
     [--explain-analyze]: the same walk observed a second way, so the
     same seed yields the same sample.  Profiles come in execution
     post-order (a binary node's right subtree before its left). *)
-
-val fold_stream :
-  Database.t ->
-  Gus_util.Rng.t ->
-  t ->
-  init:(Schema.t -> 'acc) ->
-  f:('acc -> Tuple.t -> 'acc) ->
-  'acc
-(** Stream the plan's result tuples through [f] without materializing the
-    result relation.  The plan is split into a blocking core (executed
-    with {!exec}) and a streamable suffix of per-tuple stages — Select,
-    Project, at most one [Bernoulli], any hash-Bernoulli — through which
-    core tuples are pushed one at a time.  [init] receives the result
-    schema (bind aggregate expressions there) before the first tuple.
-
-    RNG-faithful: the same seed visits exactly the tuples, in exactly the
-    order, that [exec] would have produced — the one permitted suffix
-    Bernoulli performs the same draws in the same sequence. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line rendering. *)

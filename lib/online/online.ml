@@ -62,9 +62,7 @@ let estimate t =
       None t.streams
     |> Option.get
   in
-  (* No sampling operators remain in the skeleton; the RNG goes unused.
-     The checkpoint streams the prefix join's tuples into an accumulator
-     instead of materializing the result. *)
+  (* No sampling operators remain in the skeleton; the RNG goes unused. *)
   let report = Sbox.of_plan ~gus ~f:t.f db' (Rng.create 0) t.skeleton in
   let interval = Sbox.interval Interval.Normal report in
   { fractions =

@@ -52,9 +52,7 @@ let run ?(seed = 1) ?(initial_rate = 0.01) ?(growth = 2.0) ?(max_rounds = 12) db
     in
     let rng = Gus_util.Rng.create seed in
     let gus = (Lazy.force (Rewrite.analyze_db db plan_k).Rewrite.gus) in
-    (* Stream the round's tuples straight into the moments accumulator:
-       each round touches only its own (growing) sample, never a
-       materialized result relation. *)
+    (* Each round estimates only its own (growing) sample. *)
     let report = Sbox.of_plan ~gus ~f db rng plan_k in
     let interval = Sbox.interval Interval.Normal report in
     let rel_width =

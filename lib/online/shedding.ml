@@ -150,9 +150,8 @@ let simulate ?(seed = 1) db ~plan ~f ~windows ~capacity =
       List.map (fun r -> (r, Relation.cardinality (Database.find shed r))) rels
     in
     let gus = gus_of_rates rels rates in
-    (* The shed window is estimated by streaming the skeleton's output
-       tuples into an accumulator — the per-window checkpoint never
-       materializes its result relation. *)
+    (* The shed window is estimated by running the skeleton over it and
+       feeding its output to the moments kernel. *)
     let report = Sbox.of_plan ~gus ~f shed (Gus_util.Rng.create 0) skeleton in
     let interval = Sbox.interval Interval.Normal report in
     out := { window = w; arrivals; kept; rates; report; interval } :: !out;

@@ -20,9 +20,8 @@ val project_schema : (string * Expr.t) list -> Schema.t -> Schema.t
 (** The output schema {!project} derives for [fields] over an input
     [schema]: column types inferred from expression shape, with
     arithmetic over int operands typed int and other arithmetic float,
-    as {!Value} evaluates them.  Exposed for streaming executors that
-    must know the post-projection schema without materializing
-    anything. *)
+    as {!Value} evaluates them.  Exposed for row-at-a-time executors
+    that must know the post-projection schema before any row exists. *)
 
 val select_indices : (int -> bool) -> int -> int array * int
 (** [select_indices keep n] is the ascending list of indices in [0, n)

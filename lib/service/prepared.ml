@@ -158,10 +158,7 @@ let execute catalog t (ov : overrides) =
     end
   in
   let params =
-    { Runner.seed = ov.seed;
-      explain = ov.explain;
-      exact = ov.exact;
-      streaming = true }
+    { Runner.seed = ov.seed; explain = ov.explain; exact = ov.exact }
   in
   Gus_obs.Metrics.incr m_executes;
   Runner.execute db handle params

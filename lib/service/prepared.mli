@@ -8,12 +8,10 @@
     against the new snapshot first (counted in
     [service.repreparations]).
 
-    Execution goes through the typed {!Gus_sql.Runner.execute} with
-    [streaming = true]: single-aggregate, non-GROUP-BY queries fold
-    straight into the SBox via [Splan.fold_stream] (PR 3) without
-    materializing the sample — bit-identical estimates and tuple counts
-    to the materializing path.  Execution is sequential, so results
-    never depend on the server's lane count. *)
+    Execution goes through the typed {!Gus_sql.Runner.execute}, the
+    same route as the one-shot CLI, so a served answer is bit-identical
+    to [gusdb query] on the same (dataset, sql, seed).  Execution is
+    sequential, so results never depend on the server's lane count. *)
 
 type t
 

@@ -6,9 +6,7 @@
    trace, not just a log: register events rebuild each dataset from its
    recorded source in journal order (so versions line up), and exec
    events re-run the SQL with the journaled seed/rates/explain/exact
-   and compare estimate, stddev and variance bit for bit (the explain
-   flag is honored because the profiled path's moment-reduction order
-   can differ from the streaming path's in the last stddev bits). *)
+   and compare estimate, stddev and variance bit for bit. *)
 
 module Journal = Gus_obs.Journal
 module Runner = Gus_sql.Runner

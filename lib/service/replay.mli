@@ -8,11 +8,7 @@
     every exec event with its journaled seed/rates/explain/exact, and
     compares estimate, stddev and variance {e bit for bit} — the
     engine's determinism guarantee makes any mismatch evidence of data
-    drift or a reproducibility bug, never noise.
-
-    The journaled [explain] flag is honored on replay because the
-    profiled (materializing) path's moment-reduction order can differ
-    from the streaming path's in the final stddev bits. *)
+    drift or a reproducibility bug, never noise. *)
 
 exception Corrupt of { line : int; message : string }
 (** A journal line that does not parse or lacks a required field.

@@ -208,7 +208,6 @@ let response_json ?shed ~handle (o : Engine.outcome) =
       ("op", Some (Str "execute"));
       ("handle", Some (Str handle));
       ("cached", Some (Bool o.Engine.cached));
-      ("streamed", Some (Bool rs.Runner.rs_streamed));
       ("shed", Option.map (fun _ -> Bool true) shed);
       ( "shed_rates",
         Option.map (fun (rates, _) -> rates_json rates) shed );

@@ -46,70 +46,78 @@ let cell_of_report ~label ?quantile (estimate, stddev) =
     ci95_normal = safe_interval Interval.Normal;
     ci95_chebyshev = safe_interval Interval.Chebyshev }
 
-(* Besides the cell, return the Sbox report backing it (None for AVG,
-   whose ratio report has no Theorem-1 decomposition) so callers can
-   surface variance provenance without a second moments pass. *)
-let eval_item_report ~gus sample item =
-  let label = label_of item in
-  let rec go ?quantile agg =
-    match agg with
-    | Ast.Sum e ->
-        let r = Sbox.of_relation ~gus ~f:e sample in
-        (cell_of_report ~label ?quantile (r.Sbox.estimate, r.Sbox.stddev), Some r)
-    | Ast.Count_star ->
-        let r = Sbox.of_relation ~gus ~f:one sample in
-        (cell_of_report ~label ?quantile (r.Sbox.estimate, r.Sbox.stddev), Some r)
-    | Ast.Count e ->
-        (* COUNT(e) counts non-null rows: e*0 + 1 is 1 when e is a number
-           and Null (→ 0 under SUM) when e is Null. *)
-        let indicator = Expr.(Bin (Add, Bin (Mul, e, Expr.float 0.0), Expr.float 1.0)) in
-        let r = Sbox.of_relation ~gus ~f:indicator sample in
-        (cell_of_report ~label ?quantile (r.Sbox.estimate, r.Sbox.stddev), Some r)
-    | Ast.Avg e ->
-        let r = Sbox.avg ~gus ~f:e sample in
-        ( cell_of_report ~label ?quantile
-            (r.Sbox.ratio_estimate, r.Sbox.ratio_stddev),
-          None )
-    | Ast.Quantile (inner, q) -> go ~quantile:q inner
+(* COUNT(e) counts non-null rows: e*0 + 1 is 1 when e is a number and
+   Null (→ 0 under SUM) when e is Null. *)
+let indicator e = Expr.(Bin (Add, Bin (Mul, e, Expr.float 0.0), Expr.float 1.0))
+
+(* The SUM-like value a SUM/COUNT/QUANTILE item estimates, and AVG's
+   numerator. *)
+let rec agg_expr = function
+  | Ast.Sum e | Ast.Avg e -> e
+  | Ast.Count_star -> one
+  | Ast.Count e -> indicator e
+  | Ast.Quantile (inner, _) -> agg_expr inner
+
+(* How an item reads one kernel run: the SUM report of a value, or the
+   ratio of two. *)
+type slot = Sum_of of int | Ratio_of of int * int
+
+(* The SUM-like values a query's items read, each once, in first-use
+   order — AVG(e) reads e and 1 — and every item's slot into them. *)
+let item_values items =
+  let fs = Vec.create () in
+  let index e =
+    let rec find i =
+      if i = Vec.length fs then (Vec.push fs e; i)
+      else if Vec.get fs i = e then i
+      else find (i + 1)
+    in
+    find 0
   in
-  go item.Ast.agg
+  let rec slot = function
+    | Ast.Avg e ->
+        let num = index e in
+        Ratio_of (num, index one)
+    | Ast.Quantile (inner, _) -> slot inner
+    | agg -> Sum_of (index (agg_expr agg))
+  in
+  let slots = List.map (fun item -> slot item.Ast.agg) items in
+  (Vec.to_array fs, slots)
 
-let eval_item ~gus sample item = fst (eval_item_report ~gus sample item)
+(* Innermost QUANTILE bound. *)
+let rec item_quantile ?q = function
+  | Ast.Quantile (inner, q) -> item_quantile ~q inner
+  | _ -> q
 
-(* Partition a relation into per-group sub-relations by rendered key
-   values: one pass records each row's group (first-seen order), then
-   each group gathers its rows' columns, in input order. *)
+let cell_of m item slot =
+  let label = label_of item and quantile = item_quantile item.Ast.agg in
+  match slot with
+  | Sum_of i ->
+      let r = Sbox.report_of m i in
+      cell_of_report ~label ?quantile (r.Sbox.estimate, r.Sbox.stddev)
+  | Ratio_of (i, j) ->
+      let r = Sbox.ratio_of m i j in
+      cell_of_report ~label ?quantile (r.Sbox.ratio_estimate, r.Sbox.ratio_stddev)
+
+(* Group a relation's rows by rendered key values, groups in first-seen
+   key order, each group's row indices in input order. *)
 let partition_groups keys rel =
   let evals = List.map (Relation.bind rel) keys in
-  let n = Relation.cardinality rel in
   let ids : (string list, int) Hashtbl.t = Hashtbl.create 32 in
-  let order = Vec.create () and sizes = Vec.create () in
-  let group_of = Array.make n 0 in
-  for i = 0 to n - 1 do
+  let order = Vec.create () and rows = Vec.create () in
+  for i = 0 to Relation.cardinality rel - 1 do
     let k = List.map (fun ev -> Value.to_display (ev i)) evals in
-    let g =
-      match Hashtbl.find_opt ids k with
-      | Some g -> g
-      | None ->
-          let g = Vec.length order in
-          Hashtbl.add ids k g;
-          Vec.push order k;
-          Vec.push sizes 0;
-          g
-    in
-    group_of.(i) <- g;
-    Vec.set sizes g (Vec.get sizes g + 1)
+    match Hashtbl.find_opt ids k with
+    | Some g -> Vec.push (Vec.get rows g) i
+    | None ->
+        Hashtbl.add ids k (Vec.length order);
+        Vec.push order k;
+        let v = Vec.create () in
+        Vec.push v i;
+        Vec.push rows v
   done;
-  let idx = Array.map (fun size -> Array.make size 0) (Vec.to_array sizes) in
-  let filled = Array.make (Array.length idx) 0 in
-  Array.iteri
-    (fun i g ->
-      idx.(g).(filled.(g)) <- i;
-      filled.(g) <- filled.(g) + 1)
-    group_of;
-  List.mapi
-    (fun g k -> (k, Relation.gather_rows ~name:"group" rel idx.(g) filled.(g)))
-    (Vec.to_list order)
+  List.combine (Vec.to_list order)
+    (List.map Vec.to_array (Vec.to_list rows))
 
 (* The plan's live design.  Executions of one prepared plan may run on
    several domains at once (a pooled batch), and forcing one lazy value
@@ -119,84 +127,25 @@ let force_lock = Mutex.create ()
 let live_design (a : Gus_analysis.Lint.analysis) =
   Mutex.protect force_lock (fun () -> Lazy.force a.Gus_analysis.Lint.live)
 
-(* ---- the materializing evaluation core --------------------------------- *)
+(* ---- the evaluation core ------------------------------------------------ *)
 
-(* Evaluate every SELECT item over the materialized sample, per group
-   under GROUP BY.  [gus] is the plan's live-relation design, computed by
-   the caller (prepare-time artifact: it depends only on the plan and
-   base cardinalities, never on tuple data).  The report is the first
-   item's, when a whole-query SUM/COUNT/QUANTILE cell computed one. *)
-let eval_sample ~gus query sample =
+(* Evaluate every SELECT item over the sample: one kernel run over the
+   whole sample, or one per group under GROUP BY.  [gus] is the plan's
+   live-relation design (a prepare-time artifact).  Without GROUP BY the
+   whole-sample run comes back too, with each item's slot into it. *)
+let evaluate ~gus query sample =
+  let items = query.Ast.items in
+  let fs, slots = item_values items in
   match query.Ast.group_by with
   | [] ->
-      let pairs = List.map (eval_item_report ~gus sample) query.Ast.items in
-      let report = match pairs with (_, r) :: _ -> r | [] -> None in
-      (List.map fst pairs, [], report)
+      let m = Sbox.moments ~gus ~fs sample in
+      (List.map2 (cell_of m) items slots, [], Some (m, slots))
   | keys ->
-      let per_group =
-        List.map
-          (fun (k, sub) ->
-            { keys = k;
-              group_cells = List.map (eval_item ~gus sub) query.Ast.items })
-          (partition_groups keys sample)
+      let group (k, rows) =
+        let m = Sbox.moments ~gus ~fs ~rows sample in
+        { keys = k; group_cells = List.map2 (cell_of m) items slots }
       in
-      ([], per_group, None)
-
-let eval_query ~gus ~seed db query plan =
-  let rng = Gus_util.Rng.create seed in
-  let sample = Splan.exec db rng plan in
-  let cells, groups, report = eval_sample ~gus query sample in
-  ( { cells; groups; n_sample_tuples = Relation.cardinality sample; gus; plan },
-    report )
-
-(* ---- the streaming evaluation core ------------------------------------- *)
-
-(* Innermost QUANTILE bound, mirroring [eval_item]'s unwrapping. *)
-let rec item_quantile ?q = function
-  | Ast.Quantile (inner, q) -> item_quantile ~q inner
-  | _ -> q
-
-let streamable_item item =
-  let rec go = function
-    | Ast.Sum _ | Ast.Count_star | Ast.Count _ -> true
-    | Ast.Quantile (inner, _) -> go inner
-    | Ast.Avg _ -> false
-  in
-  go item.Ast.agg
-
-let rec agg_expr = function
-  | Ast.Sum e -> e
-  | Ast.Count_star -> one
-  | Ast.Count e -> Expr.(Bin (Add, Bin (Mul, e, Expr.float 0.0), Expr.float 1.0))
-  | Ast.Avg e -> e
-  | Ast.Quantile (inner, _) -> agg_expr inner
-
-(* Fold the plan's result tuples straight into the SBox via
-   [Splan.fold_stream] (through {!Sbox.of_plan}), never materializing the
-   sampled relation.  Only single-aggregate SUM/COUNT queries without
-   GROUP BY qualify; [None] means "fall back to the materializing core".
-   Same seed ⇒ bit-identical estimate / n_sample_tuples to [eval_query]
-   (the moment sums — hence stddev — can differ in final bits from
-   reduction order; see Sbox.of_plan). *)
-let stream_result ~gus ~seed db query plan =
-  match query.Ast.items with
-  | [ item ] when query.Ast.group_by = [] && streamable_item item ->
-      let rng = Gus_util.Rng.create seed in
-      let f = agg_expr item.Ast.agg in
-      let r = Sbox.of_plan ~gus ~f db rng plan in
-      let cell =
-        cell_of_report ~label:(label_of item)
-          ?quantile:(item_quantile item.Ast.agg)
-          (r.Sbox.estimate, r.Sbox.stddev)
-      in
-      Some
-        ( { cells = [ cell ];
-            groups = [];
-            n_sample_tuples = r.Sbox.n_tuples;
-            gus;
-            plan },
-          r )
-  | _ -> None
+      ([], List.map group (partition_groups keys sample), None)
 
 (* ---- EXPLAIN ANALYZE ----------------------------------------------- *)
 
@@ -246,14 +195,9 @@ let subtree_term (r : Sbox.report) ~c plan path =
           (if !dropped then 0.0 else c.(!mask) /. a2 *. r.Sbox.y_hat.(!mask))
       with Gus_relational.Lineage.Overlap _ -> None)
 
-let explain_of ~(analysis : Gus_analysis.Lint.analysis) ~seed db query plan =
-  let gus = live_design analysis in
-  let rng = Gus_util.Rng.create seed in
-  let sample, profiles = Splan.exec_profiled db rng plan in
-  let cells, groups, first_report = eval_sample ~gus query sample in
-  let result =
-    { cells; groups; n_sample_tuples = Relation.cardinality sample; gus; plan }
-  in
+let explain_of ~(analysis : Gus_analysis.Lint.analysis) ~gus query result
+    sample whole profiles =
+  let plan = result.plan in
   (* The sampler annotations come straight from the prepare-time analysis:
      the linter already ran the Figure-1 translation of every sampling
      node and recorded it per path, so EXPLAIN never re-lints. *)
@@ -263,15 +207,15 @@ let explain_of ~(analysis : Gus_analysis.Lint.analysis) ~seed db query plan =
   (* Variance decomposition of the first aggregate: each sampling node is
      annotated with the Theorem-1 term of its subtree's relation subset
      (the -y_0 belongs to the empty subset, which no Sample node owns).
-     A SUM/COUNT/QUANTILE cell already computed that report; AVG and
-     GROUP BY cells did not, so it is computed over the whole sample. *)
+     Without GROUP BY the evaluation's kernel run already holds the first
+     item's value (AVG's numerator); under GROUP BY it is run once more
+     over the whole sample. *)
   let report =
-    match (first_report, query.Ast.items) with
-    | Some r, _ -> Some r
-    | None, [] -> None
-    | None, item :: _ -> (
-        try Some (Sbox.of_relation ~gus ~f:(agg_expr item.Ast.agg) sample)
-        with _ -> None)
+    match (whole, query.Ast.items) with
+    | Some (m, (Sum_of i | Ratio_of (i, _)) :: _), _ -> Some (Sbox.report_of m i)
+    | None, item :: _ ->
+        Some (Sbox.of_relation ~gus ~f:(agg_expr item.Ast.agg) sample)
+    | _ -> None
   in
   let contrib_of =
     match report with
@@ -314,22 +258,33 @@ let explain_of ~(analysis : Gus_analysis.Lint.analysis) ~seed db query plan =
     ex_total_ns = total_ns;
     ex_report = report }
 
-let exact_values query exact_rel =
+(* Ground truth per SELECT item over the exact relation's rows: all of
+   them, or one group's [rows]. *)
+let exact_values ?rows query exact_rel =
+  let rows =
+    match rows with
+    | Some r -> r
+    | None -> Array.init (Relation.cardinality exact_rel) Fun.id
+  in
   let eval_f f =
-    let ev = Expr.bind_float exact_rel.Relation.schema f in
-    Relation.fold (fun acc tup -> acc +. ev tup) 0.0 exact_rel
+    let ev = Relation.bind_float exact_rel f in
+    Array.fold_left (fun acc i -> acc +. ev i) 0.0 rows
   in
   let rec value = function
     | Ast.Sum e -> eval_f e
-    | Ast.Count_star -> float_of_int (Relation.cardinality exact_rel)
-    | Ast.Count e ->
-        eval_f Expr.(Bin (Add, Bin (Mul, e, Expr.float 0.0), Expr.float 1.0))
+    | Ast.Count_star -> float_of_int (Array.length rows)
+    | Ast.Count e -> eval_f (indicator e)
     | Ast.Avg e ->
-        let n = Relation.cardinality exact_rel in
+        let n = Array.length rows in
         if n = 0 then 0.0 else eval_f e /. float_of_int n
     | Ast.Quantile (inner, _) -> value inner
   in
   List.map (fun item -> (label_of item, value item.Ast.agg)) query.Ast.items
+
+let exact_groups keys query exact_rel =
+  List.map
+    (fun (k, rows) -> (k, exact_values ~rows query exact_rel))
+    (partition_groups keys exact_rel)
 
 let run_exact db sql =
   let query = Parser.parse sql in
@@ -340,10 +295,7 @@ let run_exact db sql =
 let run_exact_groups db sql =
   let query = Parser.parse sql in
   let { Planner.plan; _ } = Planner.compile db query in
-  let exact_rel = Splan.exec_exact db plan in
-  List.map
-    (fun (k, sub) -> (k, exact_values query sub))
-    (partition_groups query.Ast.group_by exact_rel)
+  exact_groups query.Ast.group_by query (Splan.exec_exact db plan)
 
 (* ---- the typed request/response API ------------------------------------ *)
 
@@ -351,11 +303,9 @@ type params = {
   seed : int;
   explain : bool;
   exact : bool;
-  streaming : bool;
 }
 
-let default_params =
-  { seed = 42; explain = false; exact = false; streaming = false }
+let default_params = { seed = 42; explain = false; exact = false }
 
 type request = {
   sql : string;
@@ -364,9 +314,8 @@ type request = {
 }
 
 let request ?(seed = 42) ?(explain = false) ?(exact = false)
-    ?(streaming = false) ?(lint_config = Gus_analysis.Lint.default_config) sql
-    =
-  { sql; lint_config; params = { seed; explain; exact; streaming } }
+    ?(lint_config = Gus_analysis.Lint.default_config) sql =
+  { sql; lint_config; params = { seed; explain; exact } }
 
 type prepared = {
   pr_sql : string;
@@ -391,7 +340,6 @@ type response = {
   rs_lint : Gus_analysis.Lint.report;
   rs_exact : (string * float) list;
   rs_exact_groups : (string list * (string * float) list) list;
-  rs_streamed : bool;
   rs_report : Sbox.report option;
 }
 
@@ -407,20 +355,25 @@ let execute db (p : prepared) (params : params) =
     | None -> raise (Rewrite.Unsupported (Rewrite.render_errors (prepared_errors p)))
   in
   let gus = live_design analysis in
-  let ex, result, report, streamed =
+  let rng = Gus_util.Rng.create params.seed in
+  let sample, profiles =
     if params.explain then
-      let ex = explain_of ~analysis ~seed:params.seed db query plan in
-      (Some ex, ex.ex_result, ex.ex_report, false)
-    else
-      match
-        (if params.streaming then
-           stream_result ~gus ~seed:params.seed db query plan
-         else None)
-      with
-      | Some (r, rep) -> (None, r, Some rep, true)
-      | None ->
-          let r, rep = eval_query ~gus ~seed:params.seed db query plan in
-          (None, r, rep, false)
+      let sample, profiles = Splan.exec_profiled db rng plan in
+      (sample, Some profiles)
+    else (Splan.exec db rng plan, None)
+  in
+  let cells, groups, whole = evaluate ~gus query sample in
+  let result =
+    { cells; groups; n_sample_tuples = Relation.cardinality sample; gus; plan }
+  in
+  let ex =
+    Option.map (explain_of ~analysis ~gus query result sample whole) profiles
+  in
+  let report =
+    match (ex, whole) with
+    | Some ex, _ -> ex.ex_report
+    | None, Some (m, Sum_of i :: _) -> Some (Sbox.report_of m i)
+    | None, _ -> None
   in
   let exact_cells, exact_groups =
     if not params.exact then ([], [])
@@ -428,18 +381,13 @@ let execute db (p : prepared) (params : params) =
       let exact_rel = Splan.exec_exact db plan in
       match query.Ast.group_by with
       | [] -> (exact_values query exact_rel, [])
-      | keys ->
-          ( [],
-            List.map
-              (fun (k, sub) -> (k, exact_values query sub))
-              (partition_groups keys exact_rel) )
+      | keys -> ([], exact_groups keys query exact_rel)
   in
   { rs_result = result;
     rs_explain = ex;
     rs_lint = p.pr_lint;
     rs_exact = exact_cells;
     rs_exact_groups = exact_groups;
-    rs_streamed = streamed;
     rs_report = report }
 
 (* The plan node with the largest Theorem-1 variance share for this

@@ -65,17 +65,10 @@ type params = {
   seed : int;  (** RNG seed for the sampling run (default 42) *)
   explain : bool;  (** collect per-node profiles ({!explain}) *)
   exact : bool;  (** also evaluate the sample-free skeleton *)
-  streaming : bool;
-      (** fold result tuples straight into the SBox via
-          {!Gus_core.Splan.fold_stream} when the query shape allows it
-          (single SUM/COUNT aggregate, no GROUP BY): no materialized
-          sample, bit-identical estimate and tuple count to the
-          materializing core (stddev can differ in final bits from
-          moment-reduction order) *)
 }
 
 val default_params : params
-(** [{ seed = 42; explain = false; exact = false; streaming = false }]. *)
+(** [{ seed = 42; explain = false; exact = false }]. *)
 
 type request = {
   sql : string;
@@ -87,7 +80,6 @@ val request :
   ?seed:int ->
   ?explain:bool ->
   ?exact:bool ->
-  ?streaming:bool ->
   ?lint_config:Gus_analysis.Lint.config ->
   string ->
   request
@@ -124,26 +116,28 @@ type response = {
           on a non-GROUP-BY query *)
   rs_exact_groups : (string list * (string * float) list) list;
       (** ground truth per group with [params.exact] under GROUP BY *)
-  rs_streamed : bool;
-      (** whether the streaming core answered this execution *)
   rs_report : Gus_estimator.Sbox.report option;
       (** the first aggregate's SBox report — [None] under GROUP BY and
-          for AVG (its ratio estimator has no Theorem-1 decomposition).
+          for AVG (its ratio estimator has no Theorem-1 decomposition),
+          except with [params.explain], where it is {!explain.ex_report}.
           Telemetry provenance: {!top_variance_share} reads it. *)
 }
 
 val execute : Gus_relational.Database.t -> prepared -> params -> response
-(** Execute a prepared query.  Every path — streamed, materializing and
-    EXPLAIN — estimates on the plan's live design, whatever the plan's
-    width.  Raises [Rewrite.Unsupported] (listing every [GUSxxx] error at
-    once) when the prepared plan is outside the GUS theory, or when its
-    live relations alone exceed {!Gus_util.Subset.max_universe} — {e
-    before} any sampling work runs.  Deterministic in
-    [(prepared, params.seed)]: repeated calls return bit-identical
-    responses.  Plan execution and the streaming fold are sequential;
-    only the materializing path's moment passes over at least 4096
-    pairs fan out on the default {!Gus_util.Pool}, one subset mask per
-    lane, which never changes a bit. *)
+(** Execute a prepared query: run the plan once ({!Gus_core.Splan.exec},
+    or {!Gus_core.Splan.exec_profiled} with [params.explain]), then feed
+    the sample's live lineage columns and every item's SUM-like values to
+    one moments kernel — once for the whole sample, or once per group
+    under GROUP BY.  AVG reads its numerator and [1] from that run.
+    EXPLAIN evaluates the sample with the same function and only adds
+    the node annotations, so both return the same bits.  Estimates run on
+    the plan's live design, whatever the plan's width.  Raises
+    [Rewrite.Unsupported] (listing every [GUSxxx] error at once) when the
+    prepared plan is outside the GUS theory, or when its live relations
+    alone exceed {!Gus_util.Subset.max_universe} — {e before} any
+    sampling work runs.  Deterministic in [(prepared, params.seed)]:
+    repeated calls return bit-identical responses.  Execution is
+    sequential on the calling domain. *)
 
 val run_request : Gus_relational.Database.t -> request -> response
 (** [prepare] + [execute] in one shot — the cold path. *)

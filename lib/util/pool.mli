@@ -49,11 +49,9 @@ val default_size : unit -> int
 val default : unit -> t
 (** A process-wide shared pool of {!default_size}, created lazily on
     first use and recreated if the size configuration changed or the
-    previous default was shut down.  Three things run on it: the
-    moment passes of [Moments.of_pairs]/[bilinear_of_pairs] over at
-    least 4096 pairs, the serving engine's [batch] fan-out, and the
-    experiment trial loops.  Plan execution and the streaming
-    estimator are sequential. *)
+    previous default was shut down.  Two things run on it: the serving
+    engine's [batch] fan-out and the experiment trial loops.  Plan
+    execution and the moment passes of an estimate are sequential. *)
 
 val set_default_size : int -> unit
 (** Override the default-pool size (CLI [--pool-size]); takes precedence

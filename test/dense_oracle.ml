@@ -1,9 +1,9 @@
 (* Dense reference implementations the library no longer carries, kept
    as test oracles: the O(3ⁿ) coefficient sum, per-subset hashtable
-   moments, and the dense lint engine — full 2ⁿ materialization, the
-   bitwise dead-relation scan, the dead mask verified against the actual
-   coefficients, the Theorem-1 bound summed over every coefficient, and
-   the root findings it emitted.  The symbolic, live-projected library
+   moments in first-seen group order, and the dense lint engine — full
+   2ⁿ materialization, the bitwise dead-relation scan, the dead mask
+   verified against the actual coefficients, the Theorem-1 bound summed
+   over every coefficient, and the root findings it emitted.  The symbolic, live-projected library
    paths are held against these bit for bit. *)
 
 module Gus = Gus_core.Gus
@@ -33,34 +33,46 @@ let c_naive g =
 let restrict l s =
   Array.of_list (List.map (fun i -> l.(i)) (Subset.elements s))
 
-let group_moments ~n_rels ~lineage ~add ~zero ~square rows =
-  let y = Array.make (Subset.count n_rels) 0.0 in
-  for s = 0 to Subset.count n_rels - 1 do
-    let groups = Hashtbl.create 64 in
+(* [rows] are [(lineage, values)] with [k] values each.  Returns
+   [y.(i).(j)], the cross moments y^{f_i f_j} by subset mask.  For each
+   subset the lineage groups are kept in first-seen order, each group's
+   sums run in row order from 0, and the products are summed over the
+   groups in that order; y_∅ is the product of the two totals. *)
+let group_moments ~n_rels ~k rows =
+  let nmasks = Subset.count n_rels in
+  let y = Array.init k (fun _ -> Array.init k (fun _ -> Array.make nmasks 0.0)) in
+  let totals = Array.make k 0.0 in
+  Array.iter
+    (fun (_, vs) -> Array.iteri (fun j v -> totals.(j) <- totals.(j) +. v) vs)
+    rows;
+  for s = 0 to nmasks - 1 do
+    let index = Hashtbl.create 64 in
+    let groups = ref [] in
     Array.iter
-      (fun row ->
-        let key = restrict (lineage row) s in
-        let sum = Option.value (Hashtbl.find_opt groups key) ~default:zero in
-        Hashtbl.replace groups key (add sum row))
+      (fun (l, vs) ->
+        let key = restrict l s in
+        let sums =
+          match Hashtbl.find_opt index key with
+          | Some sums -> sums
+          | None ->
+              let sums = Array.make k 0.0 in
+              Hashtbl.add index key sums;
+              groups := sums :: !groups;
+              sums
+        in
+        Array.iteri (fun j v -> sums.(j) <- sums.(j) +. v) vs)
       rows;
-    y.(s) <- Hashtbl.fold (fun _ sum acc -> acc +. square sum) groups 0.0
+    let groups = List.rev !groups in
+    for i = 0 to k - 1 do
+      for j = 0 to k - 1 do
+        y.(i).(j).(s) <-
+          (if s = Subset.empty then totals.(i) *. totals.(j)
+           else
+             List.fold_left (fun acc g -> acc +. (g.(i) *. g.(j))) 0.0 groups)
+      done
+    done
   done;
   y
-
-let moments ~n_rels pairs =
-  group_moments ~n_rels ~lineage:fst
-    ~add:(fun sum (_, f) -> sum +. f)
-    ~zero:0.0
-    ~square:(fun v -> v *. v)
-    pairs
-
-let bilinear_moments ~n_rels triples =
-  group_moments ~n_rels
-    ~lineage:(fun (l, _, _) -> l)
-    ~add:(fun (sf, sg) (_, f, g) -> (sf +. f, sg +. g))
-    ~zero:(0.0, 0.0)
-    ~square:(fun (sf, sg) -> sf *. sg)
-    triples
 
 (* ---- the dense lint engine ---- *)
 

@@ -383,12 +383,22 @@ let test_stream_query1_parity () =
   let plan = Harness.query1_plan () in
   let gus = (Lazy.force (Rewrite.analyze_db db plan).Rewrite.gus) in
   let bits = Int64.bits_of_float in
-  (* The oracle's sample through the materializing SBox. *)
+  (* The oracle's sample, its revenue evaluated on the boxed rows, through
+     the SBox. *)
   let oracle seed =
     let o = Row_oracle.exec db (Rng.create seed) plan in
     let f = Expr.bind_float o.Row_oracle.schema Harness.revenue_f in
-    Sbox.of_pairs ~gus
-      (Array.map (fun tup -> (tup.Tuple.lineage, f tup)) o.Row_oracle.rows)
+    let rel =
+      Relation.derived
+        (Schema.make [ { Schema.name = "f"; ty = Value.TFloat } ])
+        o.Row_oracle.lineage_schema
+    in
+    Array.iter
+      (fun tup ->
+        Relation.append_tuple rel
+          (Tuple.make [| Value.Float (f tup) |] tup.Tuple.lineage))
+      o.Row_oracle.rows;
+    Sbox.of_relation ~gus ~f:(Expr.col "f") rel
   in
   List.iter
     (fun seed ->

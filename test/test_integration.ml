@@ -213,7 +213,8 @@ let test_failure_modes () =
      with Gus_sql.Parser.Error _ -> true);
   (* empty sample: a 0-row sample still yields a finite report *)
   let gus = Gus.bernoulli ~rel:"lineitem" 0.5 in
-  let r = Sbox.of_pairs ~gus [||] in
+  let empty = Relation.gather_rows (Database.find db "lineitem") [||] 0 in
+  let r = Sbox.of_relation ~gus ~f:(Expr.col "l_quantity") empty in
   close "empty estimate" 0.0 r.Sbox.estimate;
   close "empty variance" 0.0 r.Sbox.variance
 

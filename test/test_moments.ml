@@ -1,5 +1,6 @@
 (* Tests for the y_S / Y_S moment computation (Section 6.3's group-by
-   lineage machinery). *)
+   lineage machinery): the one kernel, [Moments.Acc], and the relation
+   feed in front of it. *)
 
 module Moments = Gus_estimator.Moments
 module Subset = Gus_util.Subset
@@ -9,6 +10,23 @@ let check = Alcotest.check
 let check_bool = check Alcotest.bool
 let close ?(eps = 1e-9) what expected actual =
   check (Alcotest.float eps) what expected actual
+
+(* The kernel over [(lineage, values)] rows with [k] values each. *)
+let kernel ~n_rels ~k rows =
+  let acc = Moments.Acc.create ~k ~n_rels () in
+  Array.iter (fun (l, vs) -> Moments.Acc.add_values acc l vs) rows;
+  Moments.Acc.finalize acc
+
+(* The k = 1 moment vector of [(lineage, f)] pairs. *)
+let moments ~n_rels pairs =
+  let acc = Moments.Acc.create ~n_rels () in
+  Array.iter (fun (l, f) -> Moments.Acc.add acc l f) pairs;
+  (Moments.Acc.finalize acc).(0).(0)
+
+let bilinear ~n_rels tri =
+  (kernel ~n_rels ~k:2 (Array.map (fun (l, f, g) -> (l, [| f; g |])) tri)).(0).(1)
+
+let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* Hand-computed 2-relation fixture:
    pairs (lineage (r,s), f):
@@ -24,7 +42,7 @@ let fixture =
   [| ([| 0; 0 |], 1.0); ([| 0; 1 |], 2.0); ([| 1; 0 |], 3.0); ([| 1; 1 |], 4.0) |]
 
 let test_hand_computed () =
-  let y = Moments.of_pairs ~n_rels:2 fixture in
+  let y = moments ~n_rels:2 fixture in
   close "y_empty" 100.0 y.(0);
   close "y_r" 58.0 y.(1);
   close "y_s" 52.0 y.(2);
@@ -32,7 +50,7 @@ let test_hand_computed () =
 
 let test_single_relation () =
   let pairs = [| ([| 0 |], 2.0); ([| 1 |], 3.0); ([| 2 |], 5.0) |] in
-  let y = Moments.of_pairs ~n_rels:1 pairs in
+  let y = moments ~n_rels:1 pairs in
   close "y_empty = total^2" 100.0 y.(0);
   close "y_r = sum of squares" 38.0 y.(1)
 
@@ -40,42 +58,50 @@ let test_duplicate_lineage_grouped () =
   (* Block-granular lineage: several tuples share the full lineage and must
      be summed inside their group even at S = full. *)
   let pairs = [| ([| 7 |], 1.0); ([| 7 |], 2.0); ([| 8 |], 10.0) |] in
-  let y = Moments.of_pairs ~n_rels:1 pairs in
+  let y = moments ~n_rels:1 pairs in
   close "y_empty" 169.0 y.(0);
   close "y_full grouped" (9.0 +. 100.0) y.(1)
 
 let test_empty_input () =
-  let y = Moments.of_pairs ~n_rels:2 [||] in
+  let y = moments ~n_rels:2 [||] in
   Array.iter (fun v -> close "all zero" 0.0 v) y
 
 let test_zero_rels () =
-  let y = Moments.of_pairs ~n_rels:0 [| ([||], 3.0); ([||], 4.0) |] in
+  let y = moments ~n_rels:0 [| ([||], 3.0); ([||], 4.0) |] in
   close "single moment = total^2" 49.0 y.(0)
 
 let test_length_mismatch () =
-  check_bool "lineage length" true
-    (try ignore (Moments.of_pairs ~n_rels:2 [| ([| 1 |], 1.0) |]); false
-     with Invalid_argument _ -> true)
+  let reject what f =
+    check_bool what true (try f (); false with Invalid_argument _ -> true)
+  in
+  reject "lineage length" (fun () ->
+      Moments.Acc.add (Moments.Acc.create ~n_rels:2 ()) [| 1 |] 1.0);
+  reject "value count" (fun () ->
+      Moments.Acc.add_values
+        (Moments.Acc.create ~k:2 ~n_rels:1 ())
+        [| 1 |] [| 1.0 |]);
+  reject "add on k = 2" (fun () ->
+      Moments.Acc.add (Moments.Acc.create ~k:2 ~n_rels:1 ()) [| 1 |] 1.0);
+  reject "too many relations" (fun () ->
+      ignore (Moments.Acc.create ~n_rels:(Subset.max_universe + 1) ()))
 
 let test_monotone_in_subsets () =
   (* For non-negative f, y_S decreases as S grows (coarser groups give
      bigger squares): y_∅ >= y_{r} >= y_{rs} etc. along chains. *)
-  let y = Moments.of_pairs ~n_rels:2 fixture in
+  let y = moments ~n_rels:2 fixture in
   check_bool "y_empty >= y_r" true (y.(0) >= y.(1));
   check_bool "y_empty >= y_s" true (y.(0) >= y.(2));
   check_bool "y_r >= y_rs" true (y.(1) >= y.(3));
   check_bool "y_s >= y_rs" true (y.(2) >= y.(3))
 
 let test_bilinear_reduces_to_plain () =
-  let tri = Array.map (fun (l, f) -> (l, f, f)) fixture in
-  let yb = Moments.bilinear_of_pairs ~n_rels:2 tri in
-  let y = Moments.of_pairs ~n_rels:2 fixture in
-  Array.iteri (fun i v -> close "f=g agreement" y.(i) v) yb
+  let yb = bilinear ~n_rels:2 (Array.map (fun (l, f) -> (l, f, f)) fixture) in
+  let y = moments ~n_rels:2 fixture in
+  Array.iteri (fun i v -> check_bool "f=g agreement" true (same y.(i) v)) yb
 
 let test_bilinear_hand_computed () =
   (* g = 1 everywhere: y^{fg}_S = sum over groups (sum f)(group size). *)
-  let tri = Array.map (fun (l, f) -> (l, f, 1.0)) fixture in
-  let yb = Moments.bilinear_of_pairs ~n_rels:2 tri in
+  let yb = bilinear ~n_rels:2 (Array.map (fun (l, f) -> (l, f, 1.0)) fixture) in
   close "empty: total_f * total_g" 40.0 yb.(0);
   close "r: 3*2 + 7*2" 20.0 yb.(1);
   close "s: 4*2 + 6*2" 20.0 yb.(2);
@@ -84,9 +110,9 @@ let test_bilinear_hand_computed () =
 let test_bilinear_symmetric () =
   let tri = [| ([| 0; 0 |], 1.0, 5.0); ([| 0; 1 |], 2.0, 6.0); ([| 1; 1 |], 3.0, 7.0) |] in
   let flipped = Array.map (fun (l, f, g) -> (l, g, f)) tri in
-  let a = Moments.bilinear_of_pairs ~n_rels:2 tri in
-  let b = Moments.bilinear_of_pairs ~n_rels:2 flipped in
-  Array.iteri (fun i v -> close "symmetry" b.(i) v) a
+  let a = bilinear ~n_rels:2 tri in
+  let b = bilinear ~n_rels:2 flipped in
+  Array.iteri (fun i v -> check_bool "symmetry" true (same b.(i) v)) a
 
 let test_of_relation () =
   let schema =
@@ -101,9 +127,13 @@ let test_of_relation () =
   let y = Moments.of_relation ~f:(Expr.col "v") r in
   close "null treated as 0" 25.0 y.(0);
   close "sum of squares" 13.0 y.(1);
-  let pairs = Moments.pairs_of_relation ~f:(Expr.col "v") r in
-  close "total" 5.0 (Moments.total pairs);
-  check Alcotest.int "pair count" 3 (Array.length pairs)
+  let acc = Moments.feed ~slots:[| 0 |] ~fs:[| Expr.col "v"; Expr.col "k" |] r in
+  close "total" 5.0 (Moments.Acc.total acc 0);
+  close "second total" 6.0 (Moments.Acc.total acc 1);
+  check Alcotest.int "tuple count" 3 (Moments.Acc.count acc);
+  let some = Moments.feed ~rows:[| 2; 0 |] ~slots:[||] ~fs:[| Expr.col "k" |] r in
+  close "row subset total" 4.0 (Moments.Acc.total some 0);
+  check Alcotest.int "row subset count" 2 (Moments.Acc.count some)
 
 (* Property: y_S computed by the implementation equals the brute-force
    double sum over pairs agreeing on S. *)
@@ -132,7 +162,7 @@ let brute_force_y pairs s =
 let prop_matches_brute_force =
   QCheck2.Test.make ~name:"y_S equals brute-force pair sum" ~count:100 pairs_gen
     (fun pairs ->
-      let y = Moments.of_pairs ~n_rels:2 pairs in
+      let y = moments ~n_rels:2 pairs in
       let ok = ref true in
       for s = 0 to 3 do
         let bf = brute_force_y pairs s in
@@ -146,7 +176,7 @@ let prop_mobius_z_nonneg_sum =
      total over all S must equal y_∅. *)
   QCheck2.Test.make ~name:"Mobius inversion of y sums to y_empty" ~count:100
     pairs_gen (fun pairs ->
-      let y = Moments.of_pairs ~n_rels:2 pairs in
+      let y = moments ~n_rels:2 pairs in
       let z s =
         let acc = ref 0.0 in
         Subset.iter_supersets 2 s (fun t ->
@@ -159,135 +189,162 @@ let prop_mobius_z_nonneg_sum =
       let total = z 0 +. z 1 +. z 2 +. z 3 in
       Float.abs (total -. y.(0)) <= 1e-6 *. Float.max 1.0 (Float.abs y.(0)))
 
-(* ---- optimized kernel vs the test-side naive reference ---------------- *)
+(* ---- the kernel against the first-seen oracle, bit for bit ---------- *)
 
-(* Pools of size 1 (inline), 2 (always at least one worker domain), and the
-   machine's recommended count.  par_threshold:0 forces the parallel path
-   even on tiny inputs so the fan-out itself is exercised. *)
-let pools =
-  lazy
-    (let module Pool = Gus_util.Pool in
-     [ Pool.create ~size:1;
-       Pool.create ~size:2;
-       Pool.create ~size:(Pool.recommended_size ()) ])
+let all_same a b =
+  Array.length a = Array.length b && Array.for_all2 same a b
 
-(* Random (lineage, f, g) triples over 0..6 relations with ids drawn from a
-   tiny range (to force genuine groups) and a duplicated prefix (to cover
-   block-granular inputs where several tuples share a full lineage). *)
-let kernel_gen =
+(* y.(i).(j) tables agree bitwise on every i ≤ j and mask. *)
+let tables_same ~k a b =
+  let ok = ref true in
+  for i = 0 to k - 1 do
+    for j = i to k - 1 do
+      if not (all_same a.(i).(j) b.(i).(j)) then ok := false
+    done
+  done;
+  !ok
+
+(* A sample as a relation: [width] lineage columns with ids drawn from a
+   tiny range (genuine groups), [k] float value columns, a duplicated
+   prefix (block-granular inputs where several tuples share a full
+   lineage), and the live slots: an ascending subset of 0–6 lineage
+   positions. *)
+let sample_gen =
   QCheck2.Gen.(
-    int_range 0 6 >>= fun n_rels ->
+    int_range 1 3 >>= fun k ->
+    int_range 0 8 >>= fun width ->
     list_size (int_range 0 40)
       (pair
-         (list_repeat n_rels (int_range 0 3))
-         (pair (float_range (-5.0) 5.0) (float_range (-5.0) 5.0)))
+         (list_repeat width (int_range 0 3))
+         (list_repeat k (float_range (-5.0) 5.0)))
     >>= fun base ->
-    int_range 0 (List.length base) >|= fun dup ->
-    let tri =
-      List.map (fun (l, (f, g)) -> (Array.of_list l, f, g)) base
+    int_range 0 (List.length base) >>= fun dup ->
+    int_range 0 (Subset.full width) >|= fun live ->
+    let rows =
+      List.map (fun (l, vs) -> (Array.of_list l, Array.of_list vs)) base
     in
-    let blocks = List.filteri (fun i _ -> i < dup) tri in
-    (n_rels, Array.of_list (tri @ blocks)))
+    let rows = rows @ List.filteri (fun i _ -> i < dup) rows in
+    let slots =
+      Array.of_list (List.filteri (fun i _ -> i < 6) (Subset.elements live))
+    in
+    (k, width, Array.of_list rows, slots))
 
-let close_rel ?(tol = 1e-9) a b =
-  Float.abs (a -. b) <= tol *. Float.max 1.0 (Float.abs b)
+let print_sample (k, width, rows, slots) =
+  Printf.sprintf "k=%d width=%d rows=%d slots=[%s]" k width (Array.length rows)
+    (String.concat ";" (Array.to_list (Array.map string_of_int slots)))
 
-let prop_kernel_matches_naive =
-  QCheck2.Test.make ~name:"of_pairs kernel = naive (pool sizes 1/2/N)"
-    ~count:200 kernel_gen (fun (n_rels, tri) ->
-      let pairs = Array.map (fun (l, f, _) -> (l, f)) tri in
-      let reference = Dense_oracle.moments ~n_rels pairs in
-      List.for_all
-        (fun pool ->
-          let y = Moments.of_pairs ~pool ~par_threshold:0 ~n_rels pairs in
-          Array.for_all2 close_rel y reference)
-        (Lazy.force pools))
-
-let prop_bilinear_kernel_matches_naive =
-  QCheck2.Test.make
-    ~name:"bilinear_of_pairs kernel = naive (pool sizes 1/2/N)" ~count:200
-    kernel_gen (fun (n_rels, tri) ->
-      let reference = Dense_oracle.bilinear_moments ~n_rels tri in
-      List.for_all
-        (fun pool ->
-          let y = Moments.bilinear_of_pairs ~pool ~par_threshold:0 ~n_rels tri in
-          Array.for_all2 close_rel y reference)
-        (Lazy.force pools))
-
-let test_kernel_large_parallel () =
-  (* One deterministic above-threshold input per pool, so the default
-     threshold path and chunked fan-out both run on real volume. *)
-  let rng = Gus_util.Rng.create 4242 in
-  let pairs =
-    Array.init 6000 (fun _ ->
-        (Array.init 3 (fun _ -> Gus_util.Rng.int rng 50), Gus_util.Rng.float rng))
+let relation_of ~k ~width rows =
+  let schema =
+    Schema.make
+      (List.init k (fun j ->
+           { Schema.name = Printf.sprintf "f%d" j; ty = Value.TFloat }))
   in
-  let reference = Dense_oracle.moments ~n_rels:3 pairs in
-  List.iter
-    (fun pool ->
-      let y = Moments.of_pairs ~pool ~n_rels:3 pairs in
-      Array.iteri
-        (fun s v ->
-          close ~eps:(1e-9 *. Float.max 1.0 (Float.abs reference.(s)))
-            (Printf.sprintf "y.(%d)" s) reference.(s) v)
-        y)
-    (Lazy.force pools)
+  let rel =
+    Relation.derived schema (Array.init width (Printf.sprintf "r%d"))
+  in
+  Array.iter
+    (fun (l, vs) ->
+      Relation.append_tuple rel
+        (Tuple.make (Array.map (fun v -> Value.Float v) vs) l))
+    rows;
+  rel
 
-(* ---- views: a kernel over a subset of the lineage columns computes,
-   at every one of its masks, exactly the full kernel's entry at the
-   embedded mask (same code path, same order — not merely close) ---- *)
+let value_exprs k = Array.init k (fun j -> Expr.col (Printf.sprintf "f%d" j))
 
-let view_gen =
-  QCheck2.Gen.(
-    kernel_gen >>= fun (n_rels, tri) ->
-    int_range 0 (Subset.full n_rels) >|= fun live -> (n_rels, tri, live))
-
-let prop_view_bit_identical =
-  QCheck2.Test.make
-    ~name:"view kernel = full kernel, bitwise"
-    ~count:200 view_gen (fun (n_rels, tri, live) ->
-      let pairs = Array.map (fun (l, f, _) -> (l, f)) tri in
-      let view = Array.of_list (Subset.elements live) in
-      let k = Array.length view in
-      let lineage_width = n_rels in
-      let full = Moments.of_pairs ~n_rels pairs in
-      let viewed = Moments.of_pairs ~view ~lineage_width ~n_rels:k pairs in
-      let bilinear_full = Moments.bilinear_of_pairs ~n_rels tri in
-      let bilinear_viewed =
-        Moments.bilinear_of_pairs ~view ~lineage_width ~n_rels:k tri
+let prop_kernel_matches_oracle =
+  QCheck2.Test.make ~name:"kernel = first-seen oracle, bitwise"
+    ~count:300 ~print:print_sample sample_gen (fun (k, width, rows, slots) ->
+      let rel = relation_of ~k ~width rows in
+      let y =
+        Moments.Acc.finalize (Moments.feed ~slots ~fs:(value_exprs k) rel)
       in
-      (* the streaming accumulator's group tables run the same path *)
-      let acc = Moments.Acc.create ~view ~lineage_width ~n_rels:k () in
-      let acc_full = Moments.Acc.create ~n_rels () in
-      Array.iter
-        (fun (l, f) ->
-          Moments.Acc.add acc l f;
-          Moments.Acc.add acc_full l f)
-        pairs;
-      let streamed = Moments.Acc.finalize acc in
-      let streamed_full = Moments.Acc.finalize acc_full in
-      let same a b =
-        Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+      let narrow =
+        Array.map (fun (l, vs) -> (Array.map (fun p -> l.(p)) slots, vs)) rows
+      in
+      let n_rels = Array.length slots in
+      tables_same ~k y (Dense_oracle.group_moments ~n_rels ~k narrow)
+      && tables_same ~k y (kernel ~n_rels ~k narrow))
+
+(* One value of a k-value run is the k = 1 run on that value alone: adding
+   an AVG or a second SUM to a SELECT never moves the first item's bits. *)
+let prop_k_run_diagonal =
+  QCheck2.Test.make ~name:"k-value run diagonal = single-value run, bitwise"
+    ~count:300 ~print:print_sample sample_gen (fun (k, width, rows, slots) ->
+      let rel = relation_of ~k ~width rows in
+      let fs = value_exprs k in
+      let y = Moments.Acc.finalize (Moments.feed ~slots ~fs rel) in
+      let ok = ref true in
+      for i = 0 to k - 1 do
+        let one = Moments.Acc.finalize (Moments.feed ~slots ~fs:[| fs.(i) |] rel) in
+        if not (all_same y.(i).(i) one.(0).(0)) then ok := false
+      done;
+      !ok)
+
+(* A run over some live slots computes, at every one of its masks,
+   exactly the full-lineage run's entry at the embedded mask: same
+   groups, same first-seen order, same sums. *)
+let prop_view_bit_identical =
+  QCheck2.Test.make ~name:"view kernel = full kernel, bitwise" ~count:200
+    ~print:print_sample sample_gen (fun (k, width, rows, slots) ->
+      let rel = relation_of ~k ~width rows in
+      let fs = value_exprs k in
+      let viewed = Moments.Acc.finalize (Moments.feed ~slots ~fs rel) in
+      let full =
+        Moments.Acc.finalize
+          (Moments.feed ~slots:(Array.init width Fun.id) ~fs rel)
       in
       let embed s =
         List.fold_left
-          (fun m j -> Subset.add m view.(j))
+          (fun m j -> Subset.add m slots.(j))
           Subset.empty (Subset.elements s)
       in
       let ok = ref true in
-      for s = 0 to Subset.full k do
-        let e = embed s in
-        if not (same viewed.(s) full.(e)) then ok := false;
-        if not (same bilinear_viewed.(s) bilinear_full.(e)) then ok := false;
-        if not (same streamed.(s) streamed_full.(e)) then ok := false
+      for i = 0 to k - 1 do
+        for j = i to k - 1 do
+          for s = 0 to Subset.full (Array.length slots) do
+            if not (same viewed.(i).(j).(s) full.(i).(j).(embed s)) then
+              ok := false
+          done
+        done
       done;
       !ok)
+
+(* One deterministic input, large enough to grow the buffer from its
+   default size, finalized once per lane of pools of 1, 2 and 4 lanes at
+   the same time: the kernel's scratch is per call, so concurrent runs
+   on several domains (as in a served batch) all give the oracle's
+   bits. *)
+let test_kernel_large_parallel () =
+  let rng = Gus_util.Rng.create 4242 in
+  let rows =
+    Array.init 6000 (fun _ ->
+        ( Array.init 3 (fun _ -> Gus_util.Rng.int rng 50),
+          [| Gus_util.Rng.float rng; Gus_util.Rng.float rng |] ))
+  in
+  let acc = Moments.Acc.create ~k:2 ~n_rels:3 () in
+  Array.iter (fun (l, vs) -> Moments.Acc.add_values acc l vs) rows;
+  let expect = Dense_oracle.group_moments ~n_rels:3 ~k:2 rows in
+  List.iter
+    (fun lanes ->
+      let pool = Gus_util.Pool.create ~size:lanes in
+      Fun.protect ~finally:(fun () -> Gus_util.Pool.shutdown pool) @@ fun () ->
+      let ys = Array.make lanes [||] in
+      Gus_util.Pool.run_chunks pool ~lo:0 ~hi:lanes (fun lo hi ->
+          for i = lo to hi - 1 do
+            ys.(i) <- Moments.Acc.finalize acc
+          done);
+      Array.iter
+        (fun y ->
+          check_bool
+            (Printf.sprintf "pool %d: bitwise = oracle" lanes)
+            true (tables_same ~k:2 y expect))
+        ys)
+    [ 1; 2; 4 ]
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_matches_brute_force; prop_mobius_z_nonneg_sum;
-      prop_kernel_matches_naive; prop_bilinear_kernel_matches_naive;
-      prop_view_bit_identical ]
+      prop_kernel_matches_oracle; prop_k_run_diagonal; prop_view_bit_identical ]
 
 let () =
   Alcotest.run "gus_estimator.moments"

@@ -1,23 +1,13 @@
 (* Determinism tests:
 
-   1. A Moments.Acc fed one stream, and finalized at random checkpoints
-      along the way, agrees with the one-shot of_pairs kernel to 1e-9
-      relative: finalize is non-destructive.
-   2. The streaming Sbox.of_plan path is bit-identical on
-      estimate/total_f/n_tuples to the materializing exec + of_relation
-      path for any seed, and within 1e-9 on the moment-derived fields.
-   3. One sample per (plan, seed): over random executable plans with
-      RNG-consuming samplers on either or both join sides, exec,
-      exec_profiled and the tuples fold_stream visits are the same rows
-      in the same order, and every profile's rows_in is the sum of its
-      children's rows_out.
-   4. Harness.trials_par and map_trials_par return bit-identical results
+   1. One sample per (plan, seed): over random executable plans with
+      RNG-consuming samplers on either or both join sides, exec and
+      exec_profiled return the same rows in the same order, and every
+      profile's rows_in is the sum of its children's rows_out.
+   2. Harness.trials_par and map_trials_par return bit-identical results
       for every lane count, including no pool at all. *)
 
 module Splan = Gus_core.Splan
-module Rewrite = Gus_analysis.Rewrite
-module Moments = Gus_estimator.Moments
-module Sbox = Gus_estimator.Sbox
 module Harness = Gus_experiments.Harness
 module Sampler = Gus_sampling.Sampler
 module Pool = Gus_util.Pool
@@ -26,9 +16,6 @@ open Gus_relational
 
 let check_bool = Alcotest.check Alcotest.bool
 let check_int = Alcotest.check Alcotest.int
-
-let rel_close ?(tol = 1e-9) a b =
-  Float.abs (a -. b) <= tol *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
 
 (* One pool per size for the whole binary; the at_exit registry reaps
    them, and reuse keeps the loops from respawning domains. *)
@@ -42,63 +29,9 @@ let pool_of =
         Hashtbl.add tbl size p;
         p
 
-(* ---- 1. Acc checkpointed feed = of_pairs ---- *)
-
-let acc_case_gen =
-  QCheck2.Gen.(
-    int_range 1 3 >>= fun n_rels ->
-    array_size (int_range 0 160)
-      (pair (array_size (pure n_rels) (int_range 0 5)) (float_range (-8.0) 8.0))
-    >>= fun pairs ->
-    list_size (int_range 0 4) (int_range 0 (Array.length pairs)) >|= fun cuts ->
-    (n_rels, pairs, cuts))
-
-let prop_acc_checkpointed_matches_of_pairs =
-  QCheck2.Test.make ~name:"Acc checkpointed = of_pairs (1e-9)" ~count:120
-    ~print:(fun (n_rels, pairs, cuts) ->
-      Printf.sprintf "n_rels=%d n=%d cuts=[%s]" n_rels (Array.length pairs)
-        (String.concat ";" (List.map string_of_int cuts)))
-    acc_case_gen
-    (fun (n_rels, pairs, cuts) ->
-      let n = Array.length pairs in
-      let acc = Moments.Acc.create ~hint:4 ~n_rels () in
-      (* Finalize at every cut point, then keep feeding. *)
-      let cuts = List.sort_uniq compare cuts in
-      Array.iteri
-        (fun i (l, f) ->
-          if List.mem i cuts then ignore (Moments.Acc.finalize acc);
-          Moments.Acc.add acc l f)
-        pairs;
-      let y = Moments.Acc.finalize acc in
-      let expect = Moments.of_pairs ~n_rels pairs in
-      Moments.Acc.count acc = n
-      && Array.length y = Array.length expect
-      && Array.for_all2 (fun a b -> rel_close a b) y expect)
-
-(* ---- 2. streaming Sbox vs materializing ---- *)
-
 let db () = Harness.db_cached ~scale:0.1
 
-let analyze db plan = (Lazy.force (Rewrite.analyze_db db plan).Rewrite.gus)
-
-let prop_stream_matches_materializing =
-  QCheck2.Test.make ~name:"of_plan streaming = exec+of_relation" ~count:12
-    ~print:string_of_int
-    QCheck2.Gen.(int_range 0 10_000)
-    (fun seed ->
-      let db = db () in
-      let plan = Harness.query1_plan () in
-      let gus = analyze db plan in
-      let s = Sbox.of_plan ~gus ~f:Harness.revenue_f db (Rng.create seed) plan in
-      let rel = Splan.exec db (Rng.create seed) plan in
-      let m = Sbox.of_relation ~gus ~f:Harness.revenue_f rel in
-      s.Sbox.n_tuples = m.Sbox.n_tuples
-      && s.Sbox.total_f = m.Sbox.total_f
-      && s.Sbox.estimate = m.Sbox.estimate
-      && rel_close s.Sbox.variance m.Sbox.variance
-      && Array.for_all2 (fun a b -> rel_close a b) s.Sbox.y_hat m.Sbox.y_hat)
-
-(* ---- 3. one sample per (plan, seed) ---- *)
+(* ---- 1. one sample per (plan, seed) ---- *)
 
 (* A base relation, maybe filtered by [pred] (Vexpr-compilable) and
    maybe sampled. *)
@@ -140,7 +73,7 @@ let plan_gen db =
   QCheck2.Gen.(
     let two = join_gen lineitem orders ~on:("l_orderkey", "o_orderkey") in
     let three = join_gen two customer ~on:("o_custkey", "c_custkey") in
-    (* Above the joins: a filter and a sampler that may stream. *)
+    (* Above the joins: a filter and maybe one more sampler. *)
     let top =
       opt
         (oneof
@@ -201,17 +134,11 @@ let prop_one_sample_per_seed =
     (fun (plan, seed) ->
       let plain = tuples (Splan.exec db (Rng.create seed) plan) in
       let profiled, profs = Splan.exec_profiled db (Rng.create seed) plan in
-      let streamed =
-        Splan.fold_stream db (Rng.create seed) plan ~init:(fun _ -> [])
-          ~f:(fun acc tup -> tup :: acc)
-        |> List.rev |> Array.of_list
-      in
       same_rows plain (tuples profiled)
-      && same_rows plain streamed
       && List.length profs = node_count plan
       && profiles_consistent plan profs)
 
-(* ---- 4. trials_par bit-identical across lane counts ---- *)
+(* ---- 2. trials_par bit-identical across lane counts ---- *)
 
 let test_trials_par_lane_invariant () =
   let db = db () in
@@ -248,8 +175,7 @@ let test_map_trials_par_lane_invariant () =
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_acc_checkpointed_matches_of_pairs; prop_stream_matches_materializing;
-      prop_one_sample_per_seed ]
+    [ prop_one_sample_per_seed ]
 
 let () =
   Alcotest.run "parallel"

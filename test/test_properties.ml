@@ -72,8 +72,9 @@ let prop_theorem1_consistency =
     (fun (g, pairs) ->
       Array.length pairs = 0
       ||
-      let y = Moments.of_pairs ~n_rels:2 pairs in
-      let alg = Gus.variance g ~y in
+      let acc = Moments.Acc.create ~n_rels:2 () in
+      Array.iter (fun (l, f) -> Moments.Acc.add acc l f) pairs;
+      let alg = Gus.variance g ~y:(Moments.Acc.finalize acc).(0).(0) in
       let bf = brute_force_variance g pairs in
       Float.abs (alg -. bf) <= 1e-6 *. Float.max 1.0 (Float.abs bf))
 

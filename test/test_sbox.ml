@@ -158,7 +158,8 @@ let test_negative_variance_clamped () =
   (* A pathological 1-tuple sample can produce a negative raw variance
      estimate; the report clamps it and keeps the raw value. *)
   let gus = Gus.bernoulli ~rel:"pop" 0.9 in
-  let r = Sbox.of_pairs ~gus [| ([| 0 |], 1.0) |] in
+  let one_tuple = Relation.gather_rows (population 1) [| 0 |] 1 in
+  let r = Sbox.of_relation ~gus ~f:Expr.(float 1.0) one_tuple in
   check_bool "variance non-negative" true (r.Sbox.variance >= 0.0);
   check_bool "raw recorded" true (r.Sbox.variance_raw <= r.Sbox.variance +. 1e-12)
 
@@ -310,10 +311,9 @@ let test_live_projection_matches_full () =
       check_bool "live y_hat bit-identical" true
         (Int64.equal (bits dense.Sbox.y_hat.(s)) (bits yh)))
     projected.Sbox.y_hat;
-  (* y_hat_of_moments over viewed moments agrees with the report *)
+  (* y_hat_of_moments over the live slot's moments agrees with the report *)
   let y =
-    Moments.of_pairs ~view:[| 0 |] ~lineage_width:2 ~n_rels:1
-      (Moments.pairs_of_relation ~f:vcol rel)
+    (Moments.Acc.finalize (Moments.feed ~slots:[| 0 |] ~fs:[| vcol |] rel)).(0).(0)
   in
   Array.iteri
     (fun s v ->

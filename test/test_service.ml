@@ -81,8 +81,7 @@ let sig_of (rs : Runner.response) =
   Json.to_string
     (Json.obj
        [ ("result", Some (Wire.result_json rs.Runner.rs_result));
-         ("exact", Wire.exact_json rs);
-         ("streamed", Some (Json.Bool rs.Runner.rs_streamed)) ])
+         ("exact", Wire.exact_json rs) ])
 
 (* ---- Workload lint + lint-once metric ---- *)
 
@@ -348,17 +347,52 @@ let test_matches_one_shot_runner () =
       .Engine.response
   in
   let one_shot = run_sql ~seed db sql_join in
-  (* the serving path streams; estimates and tuple counts are guaranteed
-     bit-identical to the materializing one-shot path (stddev may differ
-     in final bits from moment-reduction order) *)
-  check_bool "streamed" true served.Runner.rs_streamed;
+  (* the serving path and the one-shot path run one route: estimates,
+     stddevs and tuple counts are bit-identical *)
+  let bits = Int64.bits_of_float in
   List.iter2
     (fun (a : Runner.cell) (b : Runner.cell) ->
       check_string "label" a.Runner.label b.Runner.label;
-      check_bool "estimate bits" true (a.Runner.value = b.Runner.value))
+      check_bool "estimate bits" true (bits a.Runner.value = bits b.Runner.value);
+      check_bool "stddev bits" true (bits a.Runner.stddev = bits b.Runner.stddev))
     served.Runner.rs_result.Runner.cells one_shot.Runner.cells;
   check_int "tuple count" one_shot.Runner.n_sample_tuples
     served.Runner.rs_result.Runner.n_sample_tuples
+
+(* A served execute runs the plan through the samplers and the moments
+   kernel like every other execution, so their instruments count it: on
+   the serve cram's database and statement, the 20% Bernoulli draws once
+   per lineitem row (2983) and keeps 593, whose lineage is one relation:
+   one moment pass over 593 kernel tuples.  AVG feeds the same 593
+   tuples once, with two values each. *)
+let test_counters_see_every_execution () =
+  let db = Gus_tpch.Tpch.generate ~seed:20130630 ~scale:0.05 () in
+  let e = Engine.create ~cache_capacity:8 () in
+  ignore (Engine.register_db e ~name:dataset ~source:(Catalog.In_memory "cram") db);
+  let sum_handle, _ = Engine.prepare e ~dataset sql_single in
+  let avg_handle, _ =
+    Engine.prepare e ~dataset
+      "SELECT AVG(l_extendedprice) AS a FROM lineitem TABLESAMPLE (20 PERCENT)"
+  in
+  Metrics.reset ();
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+  @@ fun () ->
+  let counter name = Metrics.counter_value (Metrics.counter name) in
+  let passes () = Metrics.histogram_count (Metrics.histogram "moments.pass_us") in
+  let seed7 = { Prepared.default_overrides with seed = 7 } in
+  let o = Engine.execute e ~handle:sum_handle seed7 in
+  check_int "sample" 593 o.Engine.response.Runner.rs_result.Runner.n_sample_tuples;
+  check_int "sampler.rows_in" 2983 (counter "sampler.rows_in");
+  check_int "sampler.rows_out" 593 (counter "sampler.rows_out");
+  check_int "sampler.bernoulli.draws" 2983 (counter "sampler.bernoulli.draws");
+  check_int "moments.pass_us count" 1 (passes ());
+  check_int "moments.acc.tuples" 593 (counter "moments.acc.tuples");
+  ignore (Engine.execute e ~handle:avg_handle seed7);
+  check_int "AVG kernel tuples" (2 * 593) (counter "moments.acc.tuples");
+  check_int "AVG moment passes" 2 (passes ())
 
 (* ---- 6. Scheduler + the cached/uncached QCheck property ---- *)
 
@@ -1074,7 +1108,9 @@ let () =
           Alcotest.test_case "invalidation on mutation" `Quick
             test_invalidation_on_mutation;
           Alcotest.test_case "matches one-shot Runner.run" `Quick
-            test_matches_one_shot_runner ] );
+            test_matches_one_shot_runner;
+          Alcotest.test_case "counters see every execution" `Quick
+            test_counters_see_every_execution ] );
       ( "scheduler",
         [ Alcotest.test_case "deterministic map" `Quick test_scheduler_map;
           Alcotest.test_case "cached = uncached (pools 1/2/4)" `Slow

@@ -473,6 +473,38 @@ let test_run_group_by_pinned () =
       check (Alcotest.list Alcotest.string) sql expected got)
     group_by_pins
 
+(* One kernel run feeds every item, and a value's moments do not depend
+   on the other values in the run: adding an AVG or a second SUM never
+   moves the first item's bits, with or without GROUP BY. *)
+let test_run_extra_items_keep_bits () =
+  let db = Lazy.force db in
+  let bits = Int64.bits_of_float in
+  (* The first cell of the whole query, or of every group. *)
+  let first (r : Runner.result) =
+    match r.Runner.cells with
+    | c :: _ -> [ c ]
+    | [] -> List.map (fun g -> List.hd g.Runner.group_cells) r.Runner.groups
+  in
+  List.iter
+    (fun group_by ->
+      let from =
+        " FROM lineitem TABLESAMPLE (30 PERCENT), orders TABLESAMPLE (50 \
+         PERCENT) WHERE l_orderkey = o_orderkey" ^ group_by
+      in
+      let alone = run_sql ~seed:5 db ("SELECT SUM(l_quantity) AS q" ^ from) in
+      let more =
+        run_sql ~seed:5 db
+          ("SELECT SUM(l_quantity) AS q, AVG(l_extendedprice) AS a, \
+            SUM(o_totalprice) AS t" ^ from)
+      in
+      check_bool "non-empty" true (first alone <> []);
+      List.iter2
+        (fun (a : Runner.cell) (b : Runner.cell) ->
+          check_bool "estimate bits" true (bits a.Runner.value = bits b.Runner.value);
+          check_bool "stddev bits" true (bits a.Runner.stddev = bits b.Runner.stddev))
+        (first alone) (first more))
+    [ ""; " GROUP BY l_returnflag" ]
+
 let test_run_deterministic_seed () =
   let db = Lazy.force db in
   let sql = "SELECT SUM(l_quantity) FROM lineitem TABLESAMPLE (20 PERCENT)" in
@@ -594,16 +626,12 @@ let test_run_wide_live_route () =
   (* Runner.execute — what `gusdb query`/`serve` run — estimates on the
      live projection, so it answers where the full design cannot even be
      materialized, bit-identically to Sbox.stream on the same plan and
-     seed (both stream the sample through the same accumulator). *)
+     seed (both feed the same sample to the same kernel). *)
   let p = Runner.prepare wide_db wide_sql in
   let bits = Int64.bits_of_float in
   List.iter
     (fun seed ->
-      let rs =
-        Runner.execute wide_db p
-          { Runner.default_params with seed; streaming = true }
-      in
-      check_bool "streamed" true rs.Runner.rs_streamed;
+      let rs = Runner.execute wide_db p { Runner.default_params with seed } in
       let cell = List.hd rs.Runner.rs_result.Runner.cells in
       let report, _ =
         Gus_estimator.Sbox.stream ~seed wide_db p.Runner.pr_plan
@@ -617,12 +645,15 @@ let test_run_wide_live_route () =
       check_bool "stddev bit-identical" true
         (Int64.equal (bits cell.Runner.stddev)
            (bits report.Gus_estimator.Sbox.stddev));
-      (* the materializing path draws the same sample *)
-      let mat = Runner.execute wide_db p { Runner.default_params with seed } in
-      check_bool "materializing estimate bit-identical" true
-        (Int64.equal
-           (bits (List.hd mat.Runner.rs_result.Runner.cells).Runner.value)
-           (bits cell.Runner.value)))
+      (* EXPLAIN draws the same sample and evaluates it the same way *)
+      let ex =
+        Runner.execute wide_db p { Runner.default_params with seed; explain = true }
+      in
+      let ex_cell = List.hd ex.Runner.rs_result.Runner.cells in
+      check_bool "explain estimate bit-identical" true
+        (Int64.equal (bits ex_cell.Runner.value) (bits cell.Runner.value));
+      check_bool "explain stddev bit-identical" true
+        (Int64.equal (bits ex_cell.Runner.stddev) (bits cell.Runner.stddev)))
     [ 1; 2; 3 ]
 
 let () =
@@ -665,4 +696,6 @@ let () =
           Alcotest.test_case "deterministic in seed" `Quick test_run_deterministic_seed;
           Alcotest.test_case "28 relations, 3 sampled = Sbox.stream" `Quick
             test_run_wide_live_route;
-          Alcotest.test_case "group by pinned bits" `Quick test_run_group_by_pinned ] ) ]
+          Alcotest.test_case "group by pinned bits" `Quick test_run_group_by_pinned;
+          Alcotest.test_case "extra items keep the first item's bits" `Quick
+            test_run_extra_items_keep_bits ] ) ]

@@ -3,7 +3,7 @@
    random plans linted bit-identically to the test-side dense lint
    engine, the rewrite-rule book, structure queries (live mask,
    monotonicity, projection, including the dense fallback), the
-   62-relation mask guard, and the view-keyed sparse moments that carry
+   62-relation mask guard, and the live-slot moments that carry
    wide-plan estimation past the dense 2^n wall. *)
 
 module Gus = Gus_core.Gus
@@ -13,7 +13,6 @@ module Sampler = Gus_sampling.Sampler
 module Lint = Gus_analysis.Lint
 module Subset = Gus_util.Subset
 module Moments = Gus_estimator.Moments
-module Pool = Gus_util.Pool
 
 let check = Alcotest.check
 let check_bool = check Alcotest.bool
@@ -379,74 +378,95 @@ let test_subset_elements_wide () =
   check (Alcotest.list Alcotest.int) "elements" [ 0; 2; 61 ]
     (Subset.elements mask)
 
-(* ---- view-keyed moments: wide lineages, small kernel universes ---- *)
+(* ---- live-slot moments: wide lineages, small kernel universes ---- *)
 
-let mk_wide_pairs ~width ~live n =
-  (* lineages are [width] columns; only the [live] columns vary *)
-  Array.init n (fun i ->
-      let l = Array.make width 0 in
-      List.iteri (fun j p -> l.(p) <- (i / (j + 1)) mod 3) live;
-      (l, 1.0 +. float_of_int (i mod 7)))
+(* [n] tuples over [width] lineage columns, as a relation with one float
+   column "f"; only the [live] columns vary. *)
+let mk_wide_relation ~width ~live n =
+  let open Gus_relational in
+  let rel =
+    Relation.derived
+      (Schema.make [ { Schema.name = "f"; ty = Value.TFloat } ])
+      (Array.init width (Printf.sprintf "w%02d"))
+  in
+  for i = 0 to n - 1 do
+    let l = Array.make width 0 in
+    List.iteri (fun j p -> l.(p) <- (i / (j + 1)) mod 3) live;
+    Relation.append_tuple rel
+      (Tuple.make [| Value.Float (1.0 +. float_of_int (i mod 7)) |] l)
+  done;
+  rel
 
 let test_view_matches_dense_restriction () =
   let width = 20 and live = [ 4; 9; 14 ] in
-  let pairs = mk_wide_pairs ~width ~live 500 in
-  let view = Array.of_list live in
-  let k = Array.length view in
-  let y_view =
-    Moments.of_pairs ~view ~lineage_width:width ~n_rels:k pairs
-  in
+  let rel = mk_wide_relation ~width ~live 500 in
+  let slots = Array.of_list live in
+  let f = Gus_relational.Expr.col "f" in
+  let y_view = (Moments.Acc.finalize (Moments.feed ~slots ~fs:[| f |] rel)).(0).(0) in
   (* oracle: restrict the lineages by hand and run the narrow kernel *)
-  let narrow =
-    Array.map (fun (l, f) -> (Array.map (fun p -> l.(p)) view, f)) pairs
-  in
-  let y_narrow = Moments.of_pairs ~n_rels:k narrow in
+  let acc = Moments.Acc.create ~n_rels:(Array.length slots) () in
+  let lineage = Gus_relational.Relation.lineage rel in
+  let value = Gus_relational.Relation.bind_float rel f in
+  for i = 0 to Gus_relational.Relation.cardinality rel - 1 do
+    let l = lineage i in
+    Moments.Acc.add acc (Array.map (fun p -> l.(p)) slots) (value i)
+  done;
+  let y_narrow = (Moments.Acc.finalize acc).(0).(0) in
   Array.iteri
     (fun s v ->
       if bits v <> bits y_narrow.(s) then
         Alcotest.failf "mask %d: %h vs %h" s v y_narrow.(s))
     y_view
 
+(* The live-slot estimate computed on every lane of pools of 1, 2 and 4
+   lanes at once lands on the sequential bits: each kernel run allocates
+   its own scratch. *)
 let test_view_acc_and_pools () =
   let width = 20 and live = [ 4; 9; 14 ] in
-  let pairs = mk_wide_pairs ~width ~live 800 in
-  let view = Array.of_list live in
-  let k = Array.length view in
-  let acc = Moments.Acc.create ~view ~lineage_width:width ~n_rels:k () in
-  Moments.Acc.add_pairs acc pairs;
-  let y_acc = Moments.Acc.finalize acc in
-  (* The batch kernel's passes fanned across pools of 1, 2 and 4 lanes
-     (threshold 0 forces the fan-out) land on the accumulator's bits. *)
+  let rel = mk_wide_relation ~width ~live 800 in
+  let slots = Array.of_list live in
+  let f = Gus_relational.Expr.col "f" in
+  let run () = (Moments.Acc.finalize (Moments.feed ~slots ~fs:[| f |] rel)).(0).(0) in
+  let y_seq = run () in
   List.iter
     (fun lanes ->
-      let pool = Pool.create ~size:lanes in
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () ->
-          let y =
-            Moments.of_pairs ~pool ~par_threshold:0 ~view ~lineage_width:width
-              ~n_rels:k pairs
-          in
-          Array.iteri
-            (fun s v ->
-              if bits v <> bits y_acc.(s) then
-                Alcotest.failf "pool %d mask %d: %h vs %h" lanes s v y_acc.(s))
-            y))
+      let pool = Gus_util.Pool.create ~size:lanes in
+      Fun.protect ~finally:(fun () -> Gus_util.Pool.shutdown pool) @@ fun () ->
+      let ys = Array.make lanes [||] in
+      Gus_util.Pool.run_chunks pool ~lo:0 ~hi:lanes (fun lo hi ->
+          for i = lo to hi - 1 do
+            ys.(i) <- run ()
+          done);
+      Array.iter
+        (Array.iteri (fun s v ->
+             if bits v <> bits y_seq.(s) then
+               Alcotest.failf "pool %d mask %d: %h vs %h" lanes s v y_seq.(s)))
+        ys)
     [ 1; 2; 4 ]
 
 let test_view_validation () =
+  let module Sbox = Gus_estimator.Sbox in
   let reject what f =
     check_bool what true (try ignore (f ()); false with Invalid_argument _ -> true)
   in
-  let pairs = [| (Array.make 5 0, 1.0) |] in
-  reject "descending view" (fun () ->
-      Moments.of_pairs ~view:[| 3; 1 |] ~lineage_width:5 ~n_rels:2 pairs);
-  reject "view out of width" (fun () ->
-      Moments.of_pairs ~view:[| 1; 7 |] ~lineage_width:5 ~n_rels:2 pairs);
-  reject "width without view" (fun () ->
-      Moments.of_pairs ~lineage_width:5 ~n_rels:2 pairs);
-  reject "view length <> n_rels" (fun () ->
-      Moments.of_pairs ~view:[| 1 |] ~lineage_width:5 ~n_rels:2 pairs)
+  let rel = mk_wide_relation ~width:5 ~live:[ 1; 3 ] 10 in
+  let f = Gus_relational.Expr.col "f" in
+  let design rels =
+    Array.fold_left
+      (fun acc r ->
+        let g = Gus.bernoulli ~rel:r 0.5 in
+        match acc with None -> Some g | Some a -> Some (Gus.join a g))
+      None rels
+    |> Option.get
+  in
+  reject "design out of schema order" (fun () ->
+      Sbox.of_relation ~gus:(design [| "w03"; "w01" |]) ~f rel);
+  reject "relation outside the lineage" (fun () ->
+      Sbox.of_relation ~gus:(design [| "w01"; "w07" |]) ~f rel);
+  reject "kernel wider than a mask" (fun () ->
+      Moments.Acc.create ~n_rels:(Subset.max_universe + 1) ());
+  check_int "live projection accepted" 10
+    (Sbox.of_relation ~gus:(design [| "w01"; "w03" |]) ~f rel).Sbox.n_tuples
 
 let () =
   Alcotest.run "symalg"
