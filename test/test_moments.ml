@@ -171,6 +171,46 @@ let prop_matches_brute_force =
       done;
       !ok)
 
+(* Property: the cross moment y^{fg}_S of a k = 2 run equals the
+   brute-force double sum of f(t)·g(t') over pairs agreeing on S, over
+   0–6 relations with ids from a tiny range (genuine groups) and a
+   duplicated prefix (tuples sharing a full lineage). *)
+let triples_gen =
+  QCheck2.Gen.(
+    int_range 0 6 >>= fun n_rels ->
+    list_size (int_range 0 40)
+      (pair
+         (list_repeat n_rels (int_range 0 3))
+         (pair (float_range (-5.0) 5.0) (float_range (-5.0) 5.0)))
+    >>= fun base ->
+    int_range 0 (List.length base) >|= fun dup ->
+    let tri = List.map (fun (l, (f, g)) -> (Array.of_list l, f, g)) base in
+    (n_rels, Array.of_list (tri @ List.filteri (fun i _ -> i < dup) tri)))
+
+let brute_force_yfg tri s =
+  let acc = ref 0.0 in
+  Array.iter
+    (fun (l1, f, _) ->
+      Array.iter
+        (fun (l2, _, g) ->
+          if List.for_all (fun i -> l1.(i) = l2.(i)) (Subset.elements s) then
+            acc := !acc +. (f *. g))
+        tri)
+    tri;
+  !acc
+
+let prop_cross_matches_brute_force =
+  QCheck2.Test.make ~name:"y^fg_S equals brute-force pair sum" ~count:200
+    triples_gen (fun (n_rels, tri) ->
+      let y = bilinear ~n_rels tri in
+      let ok = ref true in
+      for s = 0 to Subset.full n_rels do
+        let bf = brute_force_yfg tri s in
+        if Float.abs (y.(s) -. bf) > 1e-6 *. Float.max 1.0 (Float.abs bf) then
+          ok := false
+      done;
+      !ok)
+
 let prop_mobius_z_nonneg_sum =
   (* z_S = sum_{T ⊇ S} (-1)^{|T|-|S|} y_T are exact-agreement sums; their
      total over all S must equal y_∅. *)
@@ -344,7 +384,8 @@ let test_kernel_large_parallel () =
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_matches_brute_force; prop_mobius_z_nonneg_sum;
-      prop_kernel_matches_oracle; prop_k_run_diagonal; prop_view_bit_identical ]
+      prop_kernel_matches_oracle; prop_cross_matches_brute_force;
+      prop_k_run_diagonal; prop_view_bit_identical ]
 
 let () =
   Alcotest.run "gus_estimator.moments"
