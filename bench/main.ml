@@ -362,8 +362,10 @@ let micro_specs ~quota () =
       body = (fun () -> ignore (Splan.exec db (Gus_util.Rng.create 6) q1)) };
     (* The whole estimate: Splan.exec of the same plan and seed, then the
        live lineage columns and revenue values through the moments kernel
-       (Sbox.of_plan) — read against exec-query1-sampled +
-       sbox-query1-e2e, the two halves it runs. *)
+       (Sbox.of_plan).  Its exec reads only the revenue and join-key
+       columns, while exec-query1-sampled gathers every column, so
+       exec-query1-sampled + sbox-query1-e2e bound it from above rather
+       than adding up to it. *)
     { name = "sbox/stream-query1";
       quota_floor = heavy_quota_floor;
       warmup = 1;

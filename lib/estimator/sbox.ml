@@ -124,7 +124,7 @@ let of_relation ~gus ~f rel = report_of (moments ~gus ~fs:[| f |] rel) 0
 
 let of_plan ~gus ~f db rng plan =
   Gus_obs.Trace.span "sbox.of_plan" @@ fun () ->
-  of_relation ~gus ~f (Splan.exec db rng plan)
+  of_relation ~gus ~f (Splan.exec ~read:(Expr.columns f) db rng plan)
 
 let interval ?(coverage = 0.95) method_ report =
   Interval.make ~method_ ~coverage ~estimate:report.estimate ~stddev:report.stddev
@@ -253,6 +253,6 @@ let linear_combination m w =
   (!estimate, sqrt (Float.max 0.0 !variance))
 
 let exact db plan ~f =
-  let rel = Splan.exec_exact db plan in
+  let rel = Splan.exec_exact ~read:(Expr.columns f) db plan in
   let eval = Expr.bind_float rel.Relation.schema f in
   Relation.fold (fun acc tup -> acc +. eval tup) 0.0 rel

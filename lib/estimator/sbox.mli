@@ -45,10 +45,11 @@ val of_plan :
   Gus_core.Splan.t ->
   report
 (** {!Gus_core.Splan.exec} followed by {!of_relation}: one seed, one
-    sample, one set of bits.  Every online estimator ([Online],
-    [Progressive], [Shedding]) calls it once per estimate.  [gus] spans
-    the plan's lineage schema or its live projection, as for
-    {!of_relation}. *)
+    sample, one set of bits.  The walk reads only [f]'s columns and the
+    plan's own ([read] is [f]'s columns), so its scans gather nothing
+    else.  Every online estimator ([Online], [Progressive], [Shedding])
+    calls it once per estimate.  [gus] spans the plan's lineage schema
+    or its live projection, as for {!of_relation}. *)
 
 (** {1 One kernel run, several aggregates}
 

@@ -104,22 +104,49 @@ type node_profile = {
   np_rows_out : int;
 }
 
+(* Every column a node's expression reads: predicates, join keys and
+   projected fields. *)
+let rec plan_columns acc = function
+  | Scan _ -> acc
+  | Select (e, q) -> plan_columns (Expr.columns e @ acc) q
+  | Project (fields, q) ->
+      plan_columns (List.concat_map (fun (_, e) -> Expr.columns e) fields @ acc) q
+  | Equi_join { left; right; left_key; right_key } ->
+      let acc = Expr.columns left_key @ Expr.columns right_key @ acc in
+      plan_columns (plan_columns acc left) right
+  | Theta_join (e, l, r) -> plan_columns (plan_columns (Expr.columns e @ acc) l) r
+  | Cross (l, r) | Union_samples (l, r) -> plan_columns (plan_columns acc l) r
+  | Distinct q | Sample (_, q) -> plan_columns acc q
+
 (* The one plan walker behind [exec] and [exec_profiled].  A binary node
    runs its right child before its left: every seeded sample is pinned
    to that RNG draw order, so it is written out here once rather than
    left to the compiler's argument-evaluation order.  Trace spans (when
    tracing is on) and EXPLAIN profiles (when [profiles] is given) observe
    the same walk, so neither can perturb the sample.  [path] is the
-   reversed root-to-node child-index list. *)
-let walk ?profiles db rng plan =
+   reversed root-to-node child-index list.
+
+   With [read], every Scan returns a view of its base relation holding
+   only the statement's read set: [read] plus the columns the plan's own
+   nodes read.  [keep] is the set a subtree's scans are cut to, [None]
+   for every column: a Distinct compares whole rows and a Union_samples
+   needs one schema on both branches, so neither is cut beneath, up to
+   a Project, whose output does not depend on its input's other
+   columns. *)
+let walk ?read ?profiles db rng plan =
+  let read =
+    Option.map
+      (fun cols -> List.sort_uniq String.compare (plan_columns cols plan))
+      read
+  in
   let card = Relation.cardinality in
   let profiling = Option.is_some profiles in
-  let rec go path plan =
+  let rec go path keep plan =
     let traced = Gus_obs.Trace.enabled () in
     let label = if traced || profiling then node_label plan else "" in
     let t0 = if profiling then Gus_obs.Trace.now_ns () else 0 in
     if traced then Gus_obs.Trace.enter label;
-    match node path plan with
+    match node path keep plan with
     | rel, rows_in ->
         if traced then
           Gus_obs.Trace.leave label
@@ -140,39 +167,44 @@ let walk ?profiles db rng plan =
         raise e
   (* The node's output and its rows in: the sum of its inputs'
      cardinalities, a Scan's own. *)
-  and node path = function
+  and node path keep = function
     | Scan name ->
         let r = Database.find db name in
+        let r =
+          match keep with
+          | Some cols -> Relation.restrict_columns r cols
+          | None -> r
+        in
         (r, card r)
-    | Select (pred, q) -> unary path (Ops.select pred) q
-    | Project (fields, q) -> unary path (Ops.project fields) q
-    | Distinct q -> unary path Ops.distinct q
-    | Sample (s, q) -> unary path (Sampler.apply s rng) q
+    | Select (pred, q) -> unary path keep (Ops.select pred) q
+    | Project (fields, q) -> unary path read (Ops.project fields) q
+    | Distinct q -> unary path None Ops.distinct q
+    | Sample (s, q) -> unary path keep (Sampler.apply s rng) q
     | Equi_join { left; right; left_key; right_key } ->
-        binary path (Ops.equi_join ~left_key ~right_key) left right
-    | Theta_join (pred, l, r) -> binary path (Ops.theta_join pred) l r
-    | Cross (l, r) -> binary path Ops.cross l r
-    | Union_samples (l, r) -> binary path Ops.union_lineage l r
-  and unary path op q =
-    let c = go (0 :: path) q in
+        binary path keep (Ops.equi_join ~left_key ~right_key) left right
+    | Theta_join (pred, l, r) -> binary path keep (Ops.theta_join pred) l r
+    | Cross (l, r) -> binary path keep Ops.cross l r
+    | Union_samples (l, r) -> binary path None Ops.union_lineage l r
+  and unary path keep op q =
+    let c = go (0 :: path) keep q in
     (op c, card c)
-  and binary path op l r =
-    let rr = go (1 :: path) r in
-    let lr = go (0 :: path) l in
+  and binary path keep op l r =
+    let rr = go (1 :: path) keep r in
+    let lr = go (0 :: path) keep l in
     (op lr rr, card lr + card rr)
   in
-  go [] plan
+  go [] read plan
 
-let exec db rng plan = walk db rng plan
+let exec ?read db rng plan = walk ?read db rng plan
 
-let exec_profiled db rng plan =
+let exec_profiled ?read db rng plan =
   let profiles = ref [] in
-  let rel = walk ~profiles db rng plan in
+  let rel = walk ?read ~profiles db rng plan in
   (rel, List.rev !profiles)
 
-let exec_exact db q =
+let exec_exact ?read db q =
   (* No sampling remains, so the RNG is never consulted. *)
-  exec db (Gus_util.Rng.create 0) (strip_samples q)
+  exec ?read db (Gus_util.Rng.create 0) (strip_samples q)
 
 let rec pp ppf = function
   | Scan name -> Format.pp_print_string ppf name

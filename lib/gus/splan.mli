@@ -56,16 +56,32 @@ val node_label : t -> string
     plan, and [--explain-analyze] (e.g. ["join l_okey = o_okey"],
     ["Bernoulli(0.1)"]). *)
 
-val exec : Database.t -> Gus_util.Rng.t -> t -> Relation.t
+val exec : ?read:string list -> Database.t -> Gus_util.Rng.t -> t -> Relation.t
 (** Run the plan, sampling with the given RNG.  Execution is sequential
     and a binary node runs its right child before its left, so one seed
     names one sample: every entry point that executes a plan ({!exec},
     {!exec_profiled}) draws exactly this one.  With
     tracing on, every executed plan node is one [Gus_obs.Trace] span
-    carrying its [rows_out]. *)
+    carrying its [rows_out].
 
-val exec_exact : Database.t -> t -> Relation.t
-(** Run {!strip_samples} — the full, non-approximate answer. *)
+    [read] names the output columns the caller will read.  With it, each
+    [Scan] returns a {!Relation.restrict_columns} view of its base
+    relation holding only the read set: [read] plus every column the
+    plan's predicates, join keys and projections read.  Samplers,
+    selections and joins then gather only those columns.  The rows, their
+    order, their lineage, the RNG draws and the exceptions are the same
+    as without [read], and so is every output column that [read] names;
+    the other columns may be gone.  One exception differs: two join
+    inputs that share a column name make the join raise
+    ({!Schema.concat}) only when that column survives the cut.  Beneath a
+    [Distinct] (which compares whole rows) and a [Union_samples] (whose
+    branches must agree on one schema), scans keep every column, unless
+    a [Project] sits in between.  Without [read] every column is kept,
+    for callers that inspect whole outputs. *)
+
+val exec_exact : ?read:string list -> Database.t -> t -> Relation.t
+(** Run {!strip_samples} — the full, non-approximate answer.  [read] as
+    for {!exec}. *)
 
 type node_profile = {
   np_path : int list;  (** root-to-node child indices, [[]] at the root *)
@@ -76,11 +92,13 @@ type node_profile = {
 }
 
 val exec_profiled :
+  ?read:string list ->
   Database.t -> Gus_util.Rng.t -> t -> Relation.t * node_profile list
 (** {!exec} recording one {!node_profile} per plan node, for
     [--explain-analyze]: the same walk observed a second way, so the
-    same seed yields the same sample.  Profiles come in execution
-    post-order (a binary node's right subtree before its left). *)
+    same seed yields the same sample ([read] as for {!exec}).  Profiles
+    come in execution post-order (a binary node's right subtree before
+    its left). *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line rendering. *)

@@ -89,6 +89,19 @@ let restrict_lineage t slots =
     lineage_schema = Array.map (fun s -> t.lineage_schema.(s)) slots;
     cols = { c with clineage } }
 
+let restrict_columns t names =
+  let all = Schema.columns t.schema in
+  let kept = List.filter (fun col -> List.mem col.Schema.name names) all in
+  if List.compare_lengths kept all = 0 then t
+  else
+    let c = t.cols in
+    let data col = c.ccols.(Schema.index_of t.schema col.Schema.name) in
+    (* A fresh [cols] record: [cn] and [clineage] are mutable, and an
+       append to [t] must not reach the view. *)
+    { t with
+      schema = Schema.make kept;
+      cols = { c with ccols = Array.of_list (List.map data kept) } }
+
 let tuple t i =
   let c = t.cols in
   if i < 0 || i >= c.cn then

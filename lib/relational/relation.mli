@@ -8,7 +8,9 @@
 
     The row API ({!tuple}, {!iter}, {!fold}) materializes each tuple on
     demand.  Vectorized kernels ({!Ops}, {!Gus_sampling.Sampler}) read
-    the raw columns through {!t.cols}. *)
+    the raw columns through {!t.cols}, and gather only the columns their
+    input holds: a plan's scans hand them {!restrict_columns} views of
+    the base relations, cut to the columns the statement reads. *)
 
 type lineage_store =
   | Identity  (** lineage of row [i] is [[| i |]] (base relations) *)
@@ -63,6 +65,14 @@ val restrict_lineage : t -> int array -> t
 (** [restrict_lineage t slots]: the same rows, with the lineage and the
     lineage schema restricted to the positions [slots] (ascending).  A
     read-only view: it shares [t]'s columns. *)
+
+val restrict_columns : t -> string list -> t
+(** [restrict_columns t names]: the same rows and lineage, holding only
+    the columns of [t] that [names] lists, in [t]'s schema order (names
+    [t] lacks are ignored).  The column twin of {!restrict_lineage}: a
+    read-only view that shares [t]'s {!Column.t} values, keeps its
+    [name] and lineage, and costs one schema and one small record.  [t]
+    itself when [names] covers every column. *)
 
 val gather_rows : ?name:string -> t -> int array -> int -> t
 (** [gather_rows t idx count]: same schema and lineage schema, holding

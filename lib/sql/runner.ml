@@ -286,16 +286,25 @@ let exact_groups keys query exact_rel =
     (fun (k, rows) -> (k, exact_values ~rows query exact_rel))
     (partition_groups keys exact_rel)
 
+(* The columns a statement's answer reads off its sample: the SELECT
+   items' SUM-like values and the GROUP BY keys.  The plan walker adds
+   the ones its predicates and join keys read. *)
+let query_columns query =
+  List.concat_map
+    (fun item -> Expr.columns (agg_expr item.Ast.agg))
+    query.Ast.items
+  @ List.concat_map Expr.columns query.Ast.group_by
+
 let run_exact db sql =
   let query = Parser.parse sql in
   let { Planner.plan; _ } = Planner.compile db query in
-  let exact_rel = Splan.exec_exact db plan in
-  exact_values query exact_rel
+  exact_values query (Splan.exec_exact ~read:(query_columns query) db plan)
 
 let run_exact_groups db sql =
   let query = Parser.parse sql in
   let { Planner.plan; _ } = Planner.compile db query in
-  exact_groups query.Ast.group_by query (Splan.exec_exact db plan)
+  exact_groups query.Ast.group_by query
+    (Splan.exec_exact ~read:(query_columns query) db plan)
 
 (* ---- the typed request/response API ------------------------------------ *)
 
@@ -322,6 +331,7 @@ type prepared = {
   pr_query : Ast.query;
   pr_plan : Splan.t;
   pr_lint : Gus_analysis.Lint.report;
+  pr_read : string list;
 }
 
 let prepare ?lint_config db sql =
@@ -330,7 +340,11 @@ let prepare ?lint_config db sql =
      GUS001 alongside everything else, instead of a planner fast-fail. *)
   let { Planner.plan; _ } = Planner.compile ~self_join_check:false db query in
   let report = Gus_analysis.Lint.run_db ?config:lint_config db plan in
-  { pr_sql = sql; pr_query = query; pr_plan = plan; pr_lint = report }
+  { pr_sql = sql;
+    pr_query = query;
+    pr_plan = plan;
+    pr_lint = report;
+    pr_read = query_columns query }
 
 let prepared_errors p = Gus_analysis.Lint.errors p.pr_lint
 
@@ -344,7 +358,7 @@ type response = {
 }
 
 let execute db (p : prepared) (params : params) =
-  let query = p.pr_query and plan = p.pr_plan in
+  let query = p.pr_query and plan = p.pr_plan and read = p.pr_read in
   (* Reject before executing: a plan outside the GUS theory fails with
      every diagnostic code at once, before any sampling work runs.  All
      static facts (the live design, per-sampler translations) come from
@@ -358,9 +372,9 @@ let execute db (p : prepared) (params : params) =
   let rng = Gus_util.Rng.create params.seed in
   let sample, profiles =
     if params.explain then
-      let sample, profiles = Splan.exec_profiled db rng plan in
+      let sample, profiles = Splan.exec_profiled ~read db rng plan in
       (sample, Some profiles)
-    else (Splan.exec db rng plan, None)
+    else (Splan.exec ~read db rng plan, None)
   in
   let cells, groups, whole = evaluate ~gus query sample in
   let result =
@@ -378,7 +392,7 @@ let execute db (p : prepared) (params : params) =
   let exact_cells, exact_groups =
     if not params.exact then ([], [])
     else
-      let exact_rel = Splan.exec_exact db plan in
+      let exact_rel = Splan.exec_exact ~read db plan in
       match query.Ast.group_by with
       | [] -> (exact_values query exact_rel, [])
       | keys -> ([], exact_groups keys query exact_rel)

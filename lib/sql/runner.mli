@@ -92,6 +92,11 @@ type prepared = {
   pr_lint : Gus_analysis.Lint.report;
       (** complete static analysis; [pr_lint.analysis] carries the top GUS
           iff the plan has no [Error]-severity diagnostics *)
+  pr_read : string list;
+      (** the columns the answer reads off the sample: the SELECT items'
+          SUM-like values and the GROUP BY keys.  {!execute} passes them
+          to the plan walker as its [read] set, so every scan carries
+          only these and the plan's own predicate and join-key columns. *)
 }
 
 val prepare :
@@ -125,10 +130,11 @@ type response = {
 
 val execute : Gus_relational.Database.t -> prepared -> params -> response
 (** Execute a prepared query: run the plan once ({!Gus_core.Splan.exec},
-    or {!Gus_core.Splan.exec_profiled} with [params.explain]), then feed
-    the sample's live lineage columns and every item's SUM-like values to
-    one moments kernel — once for the whole sample, or once per group
-    under GROUP BY.  AVG reads its numerator and [1] from that run.
+    or {!Gus_core.Splan.exec_profiled} with [params.explain], both with
+    [read] = {!prepared.pr_read}, so each scan carries only the columns
+    the statement reads), then feed the sample's live lineage columns and
+    every item's SUM-like values to one moments kernel — once for the
+    whole sample, or once per group under GROUP BY.  AVG reads its numerator and [1] from that run.
     EXPLAIN evaluates the sample with the same function and only adds
     the node annotations, so both return the same bits.  Estimates run on
     the plan's live design, whatever the plan's width.  Raises

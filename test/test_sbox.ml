@@ -362,18 +362,18 @@ let test_wr_baseline_unbiased () =
   let est = Summary.create () in
   for t = 1 to 500 do
     let sample = Sampler.apply (Sampler.Wr 60) (Rng.create (50 + t)) pop in
-    let r = Gus_estimator.Wr_baseline.estimate_sum ~population:300 ~f:vcol sample in
-    Summary.add est r.Gus_estimator.Wr_baseline.estimate
+    let r = Wr_baseline.estimate_sum ~population:300 ~f:vcol sample in
+    Summary.add est r.Wr_baseline.estimate
   done;
   close ~eps:(0.03 *. truth) "WR estimate unbiased" truth (Summary.mean est)
 
 let test_wr_baseline_empty () =
   let pop = population 0 in
   let r =
-    Gus_estimator.Wr_baseline.estimate_sum ~population:0 ~f:vcol
+    Wr_baseline.estimate_sum ~population:0 ~f:vcol
       (Sampler.apply (Sampler.Wr 5) (Rng.create 1) pop)
   in
-  close "empty estimate" 0.0 r.Gus_estimator.Wr_baseline.estimate
+  close "empty estimate" 0.0 r.Wr_baseline.estimate
 
 let () =
   Alcotest.run "gus_estimator.sbox"

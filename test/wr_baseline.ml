@@ -1,3 +1,11 @@
+(* The classical with-replacement estimator, kept as a test oracle: the
+   non-GUS baseline that test_sbox holds the WR sampler against.  For a
+   single relation sampled WR with [n] draws out of [N], the textbook
+   estimator of [Σ f] is [(N/n) Σ_{draws} f], with variance
+   [N²·Var(f)/n] estimated from the sample.  The paper excludes WR from
+   GUS (it is not a filter).  [population] is the base relation's
+   cardinality [N]; the relation holds the [n] draws. *)
+
 open Gus_relational
 
 type report = {
