@@ -9,9 +9,11 @@ open Gus_relational
 let m_pass_us = Metrics.histogram "moments.pass_us"
 let m_acc_tuples = Metrics.counter "moments.acc.tuples"
 
-(* SplitMix64-flavoured finalizer on native ints; constants truncated to
-   62 bits.  Only collision *rate* depends on this — correctness rests on
-   the masked equality check. *)
+(* {!Gus_util.Hashing.mix_int}, copied: the dev profile compiles with
+   [-opaque], so calling it from here costs a call per id per mask, and a
+   pass over 60k two-relation tuples ran about 5% slower that way.  Only
+   collision *rate* depends on this — correctness rests on the masked
+   equality check. *)
 let[@inline] mix h k =
   let h = (h lxor k) * 0x3F58476D1CE4E5B9 in
   let h = (h lxor (h lsr 29)) * 0x14D049BB133111EB in
@@ -133,7 +135,6 @@ module Acc = struct
     if nmasks > 1 && m > 0 then begin
       let obs = Metrics.enabled () in
       let tbl = Inttbl.create ~hint:m in
-      let group = Array.make (Inttbl.capacity tbl) 0 in
       let sums = Array.make (m * k) 0.0 in
       let pos = Array.make n 0 in
       let npos = ref 0 in
@@ -161,20 +162,18 @@ module Acc = struct
           for q = 0 to !npos - 1 do
             h := mix !h (Array.unsafe_get ids (base + Array.unsafe_get pos q))
           done;
-          let slot =
+          let g =
             Inttbl.find_or_add tbl ~hash:(!h land max_int) ~equal ~repr:r
+              ~fresh:!ngroups
           in
-          let vb = r * k in
+          let vb = r * k and gb = g * k in
           if Inttbl.added tbl then begin
-            let gb = !ngroups * k in
-            Array.unsafe_set group slot !ngroups;
             incr ngroups;
             for j = 0 to k - 1 do
               Array.unsafe_set sums (gb + j) (Array.unsafe_get vals (vb + j))
             done
           end
           else begin
-            let gb = Array.unsafe_get group slot * k in
             for j = 0 to k - 1 do
               Array.unsafe_set sums (gb + j)
                 (Array.unsafe_get sums (gb + j) +. Array.unsafe_get vals (vb + j))
@@ -193,6 +192,7 @@ module Acc = struct
             y.(i).(j).(s) <- !acc
           done
         done;
+        Inttbl.flush_probes tbl;
         if obs then
           Metrics.observe m_pass_us
             (float_of_int (Gus_obs.Trace.now_ns () - t0) /. 1e3)
@@ -205,11 +205,34 @@ end
 (* The relation feed: lineage ids straight from the lineage columns, the
    values compiled over the data columns by {!Relation.bind_float}.  Each
    value is evaluated over every row before the next one, so a raise
-   comes from the first failing expression in [fs] order. *)
+   comes from the first failing expression in [fs] order.  A bare float
+   column without NULLs and a float literal — what SUM, AVG and
+   COUNT( * ) read — are copied in without [bind_float]'s closure, whose
+   float result is boxed; they read the same values and never raise. *)
+
+type source = Floats of Column.float_ba | Const of float | Eval of (int -> float)
+
+let source rel f =
+  let bare_floats =
+    match f with
+    | Expr.Col name -> (
+        match Schema.find_index rel.Relation.schema name with
+        | Some j ->
+            let col = rel.Relation.cols.Relation.ccols.(j) in
+            if Column.ty col = Value.TFloat && not (Column.has_nulls col) then
+              Some (Column.float_data col)
+            else None
+        | None -> None)
+    | _ -> None
+  in
+  match (f, bare_floats) with
+  | Expr.Lit (Value.Float c), _ -> Const c
+  | _, Some d -> Floats d
+  | _, None -> Eval (Relation.bind_float rel f)
 
 let feed ?rows ~slots ~fs rel =
   let n = Array.length slots and k = Array.length fs in
-  let evals = Array.map (Relation.bind_float rel) fs in
+  let sources = Array.map (source rel) fs in
   let m, row =
     match rows with
     | None -> (Relation.cardinality rel, Fun.id)
@@ -231,15 +254,28 @@ let feed ?rows ~slots ~fs rel =
           done)
     slots;
   Array.iteri
-    (fun j eval ->
+    (fun j src ->
       let total = ref 0.0 in
-      for i = 0 to m - 1 do
-        let v = eval (row i) in
-        Array.unsafe_set vals ((i * k) + j) v;
-        total := !total +. v
-      done;
+      (match src with
+      | Floats d ->
+          for i = 0 to m - 1 do
+            let v = Bigarray.Array1.get d (row i) in
+            Array.unsafe_set vals ((i * k) + j) v;
+            total := !total +. v
+          done
+      | Const v ->
+          for i = 0 to m - 1 do
+            Array.unsafe_set vals ((i * k) + j) v;
+            total := !total +. v
+          done
+      | Eval eval ->
+          for i = 0 to m - 1 do
+            let v = eval (row i) in
+            Array.unsafe_set vals ((i * k) + j) v;
+            total := !total +. v
+          done);
       acc.Acc.totals.(j) <- !total)
-    evals;
+    sources;
   acc.Acc.count <- m;
   Metrics.add m_acc_tuples m;
   acc

@@ -118,6 +118,24 @@ let observe h v =
     atomic_add_float h.hsum v
   end
 
+let observe_counts h counts ~sum =
+  if !enabled_flag then begin
+    if Array.length counts <> Array.length h.buckets then
+      invalid_arg "Metrics.observe_counts: bucket count mismatch";
+    let total = ref 0 in
+    Array.iteri
+      (fun i c ->
+        if c > 0 then begin
+          ignore (Atomic.fetch_and_add h.buckets.(i) c);
+          total := !total + c
+        end)
+      counts;
+    if !total > 0 then begin
+      ignore (Atomic.fetch_and_add h.hcount !total);
+      atomic_add_float h.hsum sum
+    end
+  end
+
 let histogram_count h = Atomic.get h.hcount
 let histogram_sum h = Atomic.get h.hsum
 

@@ -50,6 +50,18 @@ val histogram : ?buckets:float array -> string -> histogram
     ignores the new bounds. *)
 
 val observe : histogram -> float -> unit
+(** Record one value. *)
+
+val observe_counts : histogram -> int array -> sum:float -> unit
+(** [observe_counts h counts ~sum] records observations a caller has
+    already bucketed: [counts.(i)] of them in the [i]-th bucket (bounds
+    order, the last entry the [+inf] overflow), their values adding up to
+    [sum].  The histogram ends as if each had been {!observe}d — exactly,
+    when the values are integers whose running sum stays below 2^53.
+    For per-tuple loops, which count into a local array and flush once
+    per pass.  Raises [Invalid_argument] when [counts] does not have one
+    entry per bucket. *)
+
 val histogram_count : histogram -> int
 val histogram_sum : histogram -> float
 

@@ -275,12 +275,21 @@ let int_key_col rel key =
     end
   | _ -> None
 
-module ITbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash i = Int64.to_int (Gus_util.Hashing.hash_int ~seed:7 i) land max_int
-end)
+(* The int-key join's chain heads: open addressing over the build rows,
+   linear probing, {!Gus_util.Inttbl.capacity_for} slots (load ≤ 0.5).
+   [heads.(s)] is the first build row of the slot's key, [-1] an empty
+   slot; the key is read back from the build key column [kd].  No [Int64]
+   boxing, no bucket cells, no options on the probe path.  [key_slot] is
+   the slot holding key [k], or the empty slot where it would go. *)
+let[@inline] key_slot (kd : Column.int_ba) heads mask k =
+  let s = ref (Gus_util.Hashing.mix_int 0 k land mask) in
+  while
+    let r = Array.unsafe_get heads !s in
+    r >= 0 && Bigarray.Array1.unsafe_get kd r <> k
+  do
+    s := (!s + 1) land mask
+  done;
+  !s
 
 (* Explicit lineage columns for one join side restricted to [idx]. *)
 let gather_lineage (c : Relation.cols) idx count =
@@ -296,29 +305,28 @@ let equi_join_cols ~name schema lschema ca ka cb kb =
     else (cb, kb, ca, ka, false)
   in
   let nbuild = build_c.Relation.cn in
-  let table : int ITbl.t = ITbl.create (max 16 nbuild) in
+  let kd = Column.int_data build_k in
+  let cap = Gus_util.Inttbl.capacity_for nbuild in
+  let mask = cap - 1 in
+  let heads = Array.make cap (-1) in
   let next = Array.make (max 1 nbuild) (-1) in
   for i = nbuild - 1 downto 0 do
     if not (Column.is_null build_k i) then begin
-      let k = Column.get_int build_k i in
-      (match ITbl.find_opt table k with
-      | Some head -> next.(i) <- head
-      | None -> ());
-      ITbl.replace table k i
+      let s = key_slot kd heads mask (Column.get_int build_k i) in
+      next.(i) <- heads.(s);
+      heads.(s) <- i
     end
   done;
   let build_idx = Vec.create () and probe_idx = Vec.create () in
   for i = 0 to probe_c.Relation.cn - 1 do
-    if not (Column.is_null probe_k i) then
-      match ITbl.find_opt table (Column.get_int probe_k i) with
-      | None -> ()
-      | Some head ->
-          let j = ref head in
-          while !j >= 0 do
-            Vec.push build_idx !j;
-            Vec.push probe_idx i;
-            j := next.(!j)
-          done
+    if not (Column.is_null probe_k i) then begin
+      let j = ref heads.(key_slot kd heads mask (Column.get_int probe_k i)) in
+      while !j >= 0 do
+        Vec.push build_idx !j;
+        Vec.push probe_idx i;
+        j := next.(!j)
+      done
+    end
   done;
   let count = Vec.length build_idx in
   let build_idx = Vec.to_array build_idx and probe_idx = Vec.to_array probe_idx in

@@ -49,9 +49,26 @@ let per_tuple = function
 let sampled_name ?(suffix = "sample") rel =
   Printf.sprintf "%s(%s)" suffix rel.Relation.name
 
+(* A block is [lineage id / rows_per_block].  A base relation's ids are
+   its row numbers, so its blocks are ceil(card / rows_per_block); beneath
+   a selection the surviving ids are sparse and the largest can pass the
+   cardinality, so the draws cover the largest id's block too.  Where no
+   id reaches the cardinality the count — and so every draw — is the
+   historical ceil(card / rows_per_block). *)
+let block_count rows_per_block rel =
+  let card = Relation.cardinality rel in
+  let top = ref (-1) in
+  for i = 0 to card - 1 do
+    let id = Relation.lineage_id rel ~slot:0 i in
+    if id > !top then top := id
+  done;
+  max
+    ((card + rows_per_block - 1) / rows_per_block)
+    ((!top + rows_per_block) / rows_per_block)
+
 (* Every sampler first materializes the kept row indices — drawing from
    the RNG in row order — then gathers data and lineage columns in one
-   pass. *)
+   pass.  The second result is the number of Bernoulli draws made. *)
 
 let apply_inner t rng rel =
   validate t;
@@ -61,16 +78,15 @@ let apply_inner t rng rel =
   | Bernoulli _ | Wor _ | Wr _ -> ());
   match t with
   | Bernoulli p ->
-      let idx, count =
-        Ops.select_indices (fun _ -> Rng.bernoulli rng p) (Relation.cardinality rel)
-      in
-      Relation.gather_rows ~name:(sampled_name rel) rel idx count
+      let card = Relation.cardinality rel in
+      let idx, count = Ops.select_indices (fun _ -> Rng.bernoulli rng p) card in
+      (Relation.gather_rows ~name:(sampled_name rel) rel idx count, card)
   | Wor n ->
       let card = Relation.cardinality rel in
       let k = min n card in
       let idx = Rng.sample_without_replacement rng k card in
       Array.sort compare idx;
-      Relation.gather_rows ~name:(sampled_name rel) rel idx k
+      (Relation.gather_rows ~name:(sampled_name rel) rel idx k, 0)
   | Wr n ->
       let card = Relation.cardinality rel in
       let idx =
@@ -85,13 +101,13 @@ let apply_inner t rng rel =
           Array.sub a 0 n
         end
       in
-      Relation.gather_rows ~name:(sampled_name rel) rel idx (Array.length idx)
+      (Relation.gather_rows ~name:(sampled_name rel) rel idx (Array.length idx), 0)
   | Block { rows_per_block; p } ->
       (* Lineage is rewritten to block granularity: the filter decision is
          per block, and two rows of one kept block are *not* independent, so
          the GUS analysis must treat the block as the sampled unit. *)
       let card = Relation.cardinality rel in
-      let nblocks = (card + rows_per_block - 1) / rows_per_block in
+      let nblocks = block_count rows_per_block rel in
       let keep = Array.init nblocks (fun _ -> Rng.bernoulli rng p) in
       let idx = Array.make (max 1 card) 0 in
       let blocks = Array.make (max 1 card) 0 in
@@ -108,33 +124,29 @@ let apply_inner t rng rel =
         Array.map (fun col -> Column.gather col idx !m) rel.Relation.cols.Relation.ccols
       in
       let clineage = Relation.Explicit [| Column.of_int_array blocks !m |] in
-      Relation.derived_cols
-        ~name:(sampled_name ~suffix:"blocksample" rel)
-        rel.Relation.schema rel.Relation.lineage_schema
-        { Relation.cn = !m; ccols; clineage }
+      ( Relation.derived_cols
+          ~name:(sampled_name ~suffix:"blocksample" rel)
+          rel.Relation.schema rel.Relation.lineage_schema
+          { Relation.cn = !m; ccols; clineage },
+        nblocks )
   | Hash_bernoulli { seed; p } ->
       let keep i = Hashing.prf_float ~seed (Relation.lineage_id rel ~slot:0 i) < p in
       let idx, count = Ops.select_indices keep (Relation.cardinality rel) in
-      Relation.gather_rows ~name:(sampled_name ~suffix:"hashsample" rel) rel idx count
+      (Relation.gather_rows ~name:(sampled_name ~suffix:"hashsample" rel) rel idx count, 0)
 
 let m_rows_in = Gus_obs.Metrics.counter "sampler.rows_in"
 let m_rows_out = Gus_obs.Metrics.counter "sampler.rows_out"
 let m_draws = Gus_obs.Metrics.counter "sampler.bernoulli.draws"
 
 let apply t rng rel =
-  let out = apply_inner t rng rel in
-  (* Draw counts are derived arithmetically (never by counting inside the
-     sampling loops), so instrumentation cannot perturb the RNG stream. *)
+  let out, draws = apply_inner t rng rel in
+  (* Draw counts come from the sizes the sampler drew for (never from
+     counting inside the sampling loops), so instrumentation cannot
+     perturb the RNG stream. *)
   if Gus_obs.Metrics.enabled () then begin
     Gus_obs.Metrics.add m_rows_in (Relation.cardinality rel);
     Gus_obs.Metrics.add m_rows_out (Relation.cardinality out);
-    match t with
-    | Bernoulli _ -> Gus_obs.Metrics.add m_draws (Relation.cardinality rel)
-    | Block { rows_per_block; p = _ } ->
-        let card = Relation.cardinality rel in
-        Gus_obs.Metrics.add m_draws
-          ((card + rows_per_block - 1) / rows_per_block)
-    | Wor _ | Wr _ | Hash_bernoulli _ -> ()
+    Gus_obs.Metrics.add m_draws draws
   end;
   out
 

@@ -23,8 +23,12 @@ type t =
   | Wor of int  (** uniform fixed-size sample without replacement *)
   | Wr of int  (** uniform fixed-size sample with replacement; not GUS *)
   | Block of { rows_per_block : int; p : float }
-      (** partition rows into consecutive blocks, keep each block
-          independently with probability p *)
+      (** partition rows into consecutive blocks of lineage ids, keep each
+          block independently with probability p.  One draw per block, in
+          block order, up to the block of the largest lineage id (at least
+          ceil(cardinality / rows_per_block) draws), so over a selection it
+          keeps the rows a selection over the block sample keeps
+          (Prop. 5) *)
   | Hash_bernoulli of { seed : int; p : float }
       (** pseudo-random Bernoulli keyed on (seed, lineage id): the same
           base row gets the same decision wherever it appears (Section 7) *)

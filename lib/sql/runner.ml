@@ -99,25 +99,129 @@ let cell_of m item slot =
       let r = Sbox.ratio_of m i j in
       cell_of_report ~label ?quantile (r.Sbox.ratio_estimate, r.Sbox.ratio_stddev)
 
+(* ---- GROUP BY ------------------------------------------------------------ *)
+
+module Inttbl = Gus_util.Inttbl
+module Hashing = Gus_util.Hashing
+
+(* How one GROUP BY key reads a row.  A bare column holding int data —
+   a TInt, a TBool or a TStr's dictionary code — is read raw: each
+   distinct raw value gets a raw id in an [Inttbl] of representative rows
+   and is rendered once, its display id kept in [display] by raw id.  Any
+   other key, a float column included, is evaluated and rendered on every
+   row. *)
+type key_reader =
+  | Raw of {
+      col : Column.t;
+      hash : int -> int;
+      same : int -> int -> bool;
+      seen : Inttbl.t;
+      display : int Vec.t;
+    }
+  | Eval of (int -> Value.t)
+
+let null_hash = 0x6e756c6c
+
+let raw_reader col =
+  let d = Column.int_data col and nulls = Column.has_nulls col in
+  let null i = nulls && Column.is_null col i in
+  let raw i = Bigarray.Array1.unsafe_get d i in
+  Raw
+    { col;
+      hash = (fun i -> if null i then null_hash else Hashing.mix_int 0 (raw i));
+      same = (fun a b -> if null a then null b else (not (null b)) && raw a = raw b);
+      seen = Inttbl.create ~hint:8;
+      display = Vec.create () }
+
+let key_reader rel key =
+  let int_col =
+    match key with
+    | Expr.Col name -> (
+        match Schema.find_index rel.Relation.schema name with
+        | Some j ->
+            let col = rel.Relation.cols.Relation.ccols.(j) in
+            if Column.ty col = Value.TFloat then None else Some col
+        | None -> None)
+    | _ -> None
+  in
+  match int_col with
+  | Some col -> raw_reader col
+  | None -> Eval (Relation.bind rel key)
+
 (* Group a relation's rows by rendered key values, groups in first-seen
-   key order, each group's row indices in input order. *)
+   key order, each group's row indices in input order.  Each key maps a
+   row to the id of its rendered value, interned in first-seen order, so
+   raw values that render alike (NULL and the string "NULL"; floats equal
+   under [%g]) share an id and [-0.] and [0.] do not; the groups are then
+   found on the rows' id tuples.  Rows and keys are read in row-major
+   order, so an evaluated key raises where rendering every key did. *)
 let partition_groups keys rel =
-  let evals = List.map (Relation.bind rel) keys in
-  let ids : (string list, int) Hashtbl.t = Hashtbl.create 32 in
-  let order = Vec.create () and rows = Vec.create () in
-  for i = 0 to Relation.cardinality rel - 1 do
-    let k = List.map (fun ev -> Value.to_display (ev i)) evals in
-    match Hashtbl.find_opt ids k with
-    | Some g -> Vec.push (Vec.get rows g) i
+  let n = Relation.cardinality rel in
+  let readers = Array.of_list (List.map (key_reader rel) keys) in
+  let nk = Array.length readers in
+  let names = Array.init nk (fun _ -> Vec.create ()) in
+  let interned = Array.init nk (fun _ -> Hashtbl.create 16) in
+  let intern q s =
+    match Hashtbl.find_opt interned.(q) s with
+    | Some id -> id
     | None ->
-        Hashtbl.add ids k (Vec.length order);
-        Vec.push order k;
-        let v = Vec.create () in
-        Vec.push v i;
-        Vec.push rows v
+        let id = Vec.length names.(q) in
+        Hashtbl.add interned.(q) s id;
+        Vec.push names.(q) s;
+        id
+  in
+  let ids = Array.make (max 1 (n * nk)) 0 in
+  let group = Array.make (max 1 n) 0 in
+  let firsts = Vec.create () in
+  let same_ids a b =
+    let q = ref 0 in
+    while !q < nk && ids.((a * nk) + !q) = ids.((b * nk) + !q) do
+      incr q
+    done;
+    !q = nk
+  in
+  let groups = Inttbl.create ~hint:8 in
+  for i = 0 to n - 1 do
+    let h = ref 0x9E3779B97F4A7C1 in
+    for q = 0 to nk - 1 do
+      let id =
+        match readers.(q) with
+        | Raw { hash; same; col; seen; display } ->
+            let raw =
+              Inttbl.find_or_add seen ~hash:(hash i) ~equal:same ~repr:i
+                ~fresh:(Vec.length display)
+            in
+            if Inttbl.added seen then
+              Vec.push display (intern q (Value.to_display (Column.get col i)));
+            Vec.get display raw
+        | Eval ev -> intern q (Value.to_display (ev i))
+      in
+      ids.((i * nk) + q) <- id;
+      h := Hashing.mix_int !h id
+    done;
+    let g =
+      Inttbl.find_or_add groups ~hash:!h ~equal:same_ids ~repr:i
+        ~fresh:(Vec.length firsts)
+    in
+    if Inttbl.added groups then Vec.push firsts i;
+    group.(i) <- g
   done;
-  List.combine (Vec.to_list order)
-    (List.map Vec.to_array (Vec.to_list rows))
+  (* Each group's rows, in input order. *)
+  let ngroups = Vec.length firsts in
+  let sizes = Array.make ngroups 0 in
+  for i = 0 to n - 1 do
+    sizes.(group.(i)) <- sizes.(group.(i)) + 1
+  done;
+  let rows = Array.map (fun size -> Array.make size 0) sizes in
+  Array.fill sizes 0 ngroups 0;
+  for i = 0 to n - 1 do
+    let g = group.(i) in
+    rows.(g).(sizes.(g)) <- i;
+    sizes.(g) <- sizes.(g) + 1
+  done;
+  List.init ngroups (fun g ->
+      let r = Vec.get firsts g in
+      (List.init nk (fun q -> Vec.get names.(q) ids.((r * nk) + q)), rows.(g)))
 
 (* The plan's live design.  Executions of one prepared plan may run on
    several domains at once (a pooled batch), and forcing one lazy value

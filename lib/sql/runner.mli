@@ -168,6 +168,23 @@ val run_exact_groups : Gus_relational.Database.t -> string -> (string list * (st
 (** Ground truth per group for a GROUP BY query, keyed like
     {!group_row.keys}. *)
 
+val partition_groups :
+  Gus_relational.Expr.t list ->
+  Gus_relational.Relation.t ->
+  (string list * int array) list
+(** GROUP BY's partition of a relation's rows: one [(keys, rows)] per
+    distinct tuple of rendered key values ({!Gus_relational.Value.to_display}),
+    groups in first-seen order, each group's row indices ascending.
+    Values that render alike share a group (NULL and the string
+    ["NULL"]; floats equal under [%g]); [-0.] and [0.] do not.  A bare
+    int, bool or string column key is read raw (its ints or dictionary
+    codes) and each distinct raw value rendered once; any other key, a
+    float column included, is evaluated with
+    {!Gus_relational.Relation.bind} and rendered per row, row-major
+    across keys, so it raises where evaluating every key of every row
+    would.  {!execute} runs one kernel
+    per group, and the [exact] side groups the same way. *)
+
 val pp_result : Format.formatter -> result -> unit
 
 val pp_explain : Format.formatter -> explain -> unit

@@ -10,6 +10,13 @@
 val mix64 : int64 -> int64
 (** A strong finalizer (SplitMix64's).  Bijective on 64 bits. *)
 
+val mix_int : int -> int -> int
+(** [mix_int h k] folds [k] into the running hash [h] over native ints: a
+    SplitMix64-flavoured finalizer with its constants truncated to 62
+    bits, allocating nothing.  For open-addressing tables, whose
+    correctness rests on their own equality check: only the collision
+    rate depends on it. *)
+
 val hash_int : seed:int -> int -> int64
 val hash_string : seed:int -> string -> int64
 val combine : int64 -> int64 -> int64

@@ -3,7 +3,16 @@
     All experiments must be reproducible, so every stochastic component
     takes an explicit generator.  The core is SplitMix64 (Steele et al.,
     OOPSLA 2014): tiny state, excellent equidistribution for the sample
-    sizes used here, and cheap splitting for independent streams. *)
+    sizes used here, and cheap splitting for independent streams.
+
+    {b State layout.}  A generator is one 64-bit SplitMix64 state word,
+    stored unboxed in an 8-byte [Bytes.t] and read and written in native
+    byte order.  A draw adds the golden gamma to the word and returns the
+    SplitMix64 finalizer of the sum, exactly as a boxed [int64] state
+    would; only the storage changed, so every stream is the same bit for
+    bit (test_util's "pinned stream" case holds the values).
+    {!bernoulli}, {!int} and {!bool} run the whole draw inline and
+    allocate nothing; {!bits64} and {!float} return boxed values. *)
 
 type t
 

@@ -5,7 +5,8 @@
    on the smaller side and emit each probe row's matches in build order,
    and every sampler drawing from the RNG in row order.  [Ops] and
    [Sampler] are held against these bit for bit: the same values,
-   lineage, row order and exceptions. *)
+   lineage, row order and exceptions.  GROUP BY's rendered-key partition
+   is kept here too, as the oracle for [Runner.partition_groups]. *)
 
 open Gus_relational
 module Rng = Gus_util.Rng
@@ -86,9 +87,14 @@ let sample s rng r =
       named "sample"
         (if card = 0 then [||] else Array.init n (fun _ -> r.rows.(Rng.int rng card)))
   | Sampler.Block { rows_per_block; p } ->
+      (* One draw per block up to the largest lineage id's block, and at
+         least one per ceil(card / rows_per_block). *)
+      let top = Array.fold_left (fun m tup -> max m tup.Tuple.lineage.(0)) (-1) r.rows in
       let keep =
-        Array.init ((card + rows_per_block - 1) / rows_per_block) (fun _ ->
-            Rng.bernoulli rng p)
+        Array.init
+          (max ((card + rows_per_block - 1) / rows_per_block)
+             ((top + rows_per_block) / rows_per_block))
+          (fun _ -> Rng.bernoulli rng p)
       in
       named "blocksample"
         (Array.of_list
@@ -105,6 +111,29 @@ let sample s rng r =
   | Sampler.Hash_bernoulli { seed; p } ->
       named "hashsample"
         (filter (fun tup -> Hashing.prf_float ~seed tup.Tuple.lineage.(0) < p) r.rows)
+
+(* GROUP BY's partition as the engine first computed it, over a
+   relation: every key of every row rendered to its display string, and
+   the groups found on the list of strings — the oracle for
+   [Runner.partition_groups].  Groups in first-seen key order, each
+   group's row indices in input order. *)
+let partition_groups keys rel =
+  let evals = List.map (Relation.bind rel) keys in
+  let ids : (string list, int) Hashtbl.t = Hashtbl.create 32 in
+  let order = Gus_util.Vec.create () and rows = Gus_util.Vec.create () in
+  for i = 0 to Relation.cardinality rel - 1 do
+    let k = List.map (fun ev -> Value.to_display (ev i)) evals in
+    match Hashtbl.find_opt ids k with
+    | Some g -> Gus_util.Vec.push (Gus_util.Vec.get rows g) i
+    | None ->
+        Hashtbl.add ids k (Gus_util.Vec.length order);
+        Gus_util.Vec.push order k;
+        let v = Gus_util.Vec.create () in
+        Gus_util.Vec.push v i;
+        Gus_util.Vec.push rows v
+  done;
+  List.combine (Gus_util.Vec.to_list order)
+    (List.map Gus_util.Vec.to_array (Gus_util.Vec.to_list rows))
 
 (* Plan evaluation over base relations, children evaluated right before
    left as [Splan.exec] does, so the RNG sees the same draw order. *)

@@ -240,6 +240,61 @@ let prop_column_values_parity =
            (Int64.bits_of_float (Relation.sum_column c "i"))
            (Int64.bits_of_float (oracle_sum 1)))
 
+(* ---- GROUP BY partition parity ---- *)
+
+(* GROUP BY groups by rendered key; [Runner.partition_groups] reads bare
+   int, bool and string columns raw and renders each distinct raw value
+   once.  Every value class where raw and rendered equality part ways is
+   drawn here: NULL beside the string "NULL", two floats that render
+   alike under [%g], [-0.] beside [0.], NaN, bools, plus computed keys
+   (one of which raises on a zero). *)
+let group_schema =
+  Schema.make
+    [ { Schema.name = "gs"; ty = Value.TStr };
+      { Schema.name = "gi"; ty = Value.TInt };
+      { Schema.name = "gf"; ty = Value.TFloat };
+      { Schema.name = "gb"; ty = Value.TBool } ]
+
+let group_value j code =
+  let pick a = a.(code mod Array.length a) in
+  match j with
+  | 0 -> pick Value.[| Null; Str "NULL"; Str "a"; Str "b"; Str "" |]
+  | 1 -> pick Value.[| Null; Int (-1); Int 0; Int 1; Int 2 |]
+  | 2 ->
+      pick
+        Value.
+          [| Null; Float 0.1234567; Float 0.1234568; Float (-0.0); Float 0.0;
+             Float 1.5; Float Float.nan |]
+  | _ -> pick Value.[| Null; Bool true; Bool false |]
+
+let group_keys =
+  [| Expr.col "gs"; Expr.col "gi"; Expr.col "gf"; Expr.col "gb";
+     Expr.(col "gi" * int 2); Expr.(col "gf" + float 0.0);
+     Expr.(int 6 / col "gi") |]
+
+let prop_partition_parity =
+  QCheck2.Test.make ~name:"group by partition: raw = rendered" ~count:300
+    ~print:(fun (codes, ks) ->
+      Printf.sprintf "n=%d keys=[%s]" (List.length codes)
+        (String.concat "; "
+           (List.map (fun k -> Expr.to_string group_keys.(k)) ks)))
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 60) (array_size (pure 4) (int_range 0 1000)))
+        (list_size (int_range 1 3) (int_range 0 (Array.length group_keys - 1))))
+    (fun (codes, ks) ->
+      let rel = Relation.create_base ~name:"g" group_schema in
+      List.iter
+        (fun row -> Relation.append_row rel (Array.mapi group_value row))
+        codes;
+      let keys = List.map (fun k -> group_keys.(k)) ks in
+      let run f =
+        match f keys rel with
+        | groups -> Ok groups
+        | exception Value.Type_error m -> Error m
+      in
+      run Gus_sql.Runner.partition_groups = run Row_oracle.partition_groups)
+
 (* ---- 2. sampler parity ---- *)
 
 let samplers n =
@@ -446,7 +501,7 @@ let test_snapshot_query_parity () =
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_select_parity; prop_project_parity; prop_join_parity;
-      prop_column_values_parity; prop_sampler_parity ]
+      prop_column_values_parity; prop_sampler_parity; prop_partition_parity ]
 
 let () =
   Alcotest.run "columnar"

@@ -119,6 +119,40 @@ let test_block_requires_base () =
        false
      with Invalid_argument _ -> true)
 
+(* Prop 5: a selection commutes with a GUS filter.  Block over a
+   selection draws one coin per block, in block order, up to the block of
+   the largest surviving lineage id, so with one seed it keeps exactly
+   the rows a selection over the block sample keeps: the same rows, in
+   the same order, with the same block lineage.  Sizing the coins by the
+   selection's cardinality instead indexed past them and raised. *)
+let test_block_over_select () =
+  let same_rows a b =
+    let rows rel = List.init (Relation.cardinality rel) (Relation.tuple rel) in
+    check_int "cardinality" (Relation.cardinality b) (Relation.cardinality a);
+    check_bool "same rows, order and lineage" true (rows a = rows b)
+  in
+  let block = Sampler.Block { rows_per_block = 4; p = 0.5 } in
+  let db = Gus_tpch.Tpch.generate ~seed:1 ~scale:0.01 () in
+  let pred = Expr.(col "l_quantity" > int 45) in
+  let scan = Gus_core.Splan.Scan "lineitem" in
+  List.iter
+    (fun seed ->
+      let run plan = Gus_core.Splan.exec db (Rng.create seed) plan in
+      let a = run (Gus_core.Splan.Sample (block, Gus_core.Splan.Select (pred, scan))) in
+      let b = run (Gus_core.Splan.Select (pred, Gus_core.Splan.Sample (block, scan))) in
+      check_bool "sample non-empty" true (Relation.cardinality a > 0);
+      same_rows a b)
+    [ 1; 2; 3 ];
+  (* The surviving ids all lie past the selection's cardinality. *)
+  let rel = int_relation 1000 in
+  let pred = Expr.(col "x" >= int 900) in
+  List.iter
+    (fun seed ->
+      same_rows
+        (Sampler.apply block (Rng.create seed) (Ops.select pred rel))
+        (Ops.select pred (Sampler.apply block (Rng.create seed) rel)))
+    [ 4; 5 ]
+
 (* ---- Hash Bernoulli ---- *)
 
 let test_hash_bernoulli_deterministic () =
@@ -238,7 +272,8 @@ let () =
           Alcotest.test_case "empty population" `Quick test_wr_empty_population ] );
       ( "block",
         [ Alcotest.test_case "block-granular lineage" `Quick test_block_lineage_granularity;
-          Alcotest.test_case "requires base" `Quick test_block_requires_base ] );
+          Alcotest.test_case "requires base" `Quick test_block_requires_base;
+          Alcotest.test_case "over a selection (Prop 5)" `Quick test_block_over_select ] );
       ( "hash-bernoulli",
         [ Alcotest.test_case "deterministic in (seed,id)" `Quick test_hash_bernoulli_deterministic;
           Alcotest.test_case "nested rates" `Quick test_hash_bernoulli_nested ] );

@@ -656,6 +656,103 @@ let test_run_wide_live_route () =
         (Int64.equal (bits ex_cell.Runner.stddev) (bits cell.Runner.stddev)))
     [ 1; 2; 3 ]
 
+(* ---- per-row allocation on the execute path ---- *)
+
+module Metrics = Gus_obs.Metrics
+
+(* The workload corpus's four sampled shapes, each with its number of
+   live relations.  [probe_pins] are the [inttbl.probe_len] count and
+   sum that seeds 1-3 add at each scale (data seed 1), recorded while
+   the probe loop still observed every probe one at a time. *)
+let alloc_statements =
+  [ ("q01", 1, "SELECT SUM(l_quantity) FROM lineitem TABLESAMPLE (10 PERCENT)");
+    ( "q02", 1,
+      "SELECT SUM(l_extendedprice) FROM lineitem TABLESAMPLE (20 PERCENT), orders \
+       WHERE l_orderkey = o_orderkey" );
+    ( "q03", 2,
+      "SELECT COUNT(*) FROM lineitem TABLESAMPLE (10 PERCENT), orders TABLESAMPLE \
+       (25 PERCENT) WHERE l_orderkey = o_orderkey" );
+    ( "q06", 1,
+      "SELECT AVG(l_extendedprice) FROM lineitem TABLESAMPLE (50 PERCENT) GROUP BY \
+       l_returnflag" ) ]
+
+let probe_pins =
+  [ ((0.1, "q01"), (1775, 2078)); ((0.1, "q02"), (3623, 4365));
+    ((0.1, "q03"), (1428, 1725)); ((0.1, "q06"), (9209, 11660));
+    ((1.0, "q01"), (17906, 23188)); ((1.0, "q02"), (36133, 46460));
+    ((1.0, "q03"), (13335, 16807)); ((1.0, "q06"), (90957, 110839)) ]
+
+let counter_named name = Metrics.counter_value (Metrics.counter name)
+let probe_len () = List.assoc "inttbl.probe_len" (Metrics.all_histograms ())
+
+(* Per statement and scale: minor words, sampler input rows, probe
+   count and sum, kernel tuples, over three executes with metrics on. *)
+let measure_executes ~scale =
+  let db = Gus_tpch.Tpch.generate ~seed:1 ~scale () in
+  List.map
+    (fun (name, _, sql) ->
+      let p = Runner.prepare db sql in
+      let exec seed = ignore (Runner.execute db p { Runner.default_params with seed }) in
+      exec 0;
+      let snap () =
+        ( Gc.minor_words (),
+          counter_named "sampler.rows_in",
+          Metrics.histogram_count (probe_len ()),
+          Metrics.histogram_sum (probe_len ()),
+          counter_named "moments.acc.tuples" )
+      in
+      let w0, r0, c0, s0, t0 = snap () in
+      List.iter exec [ 1; 2; 3 ];
+      let w1, r1, c1, s1, t1 = snap () in
+      (name, (w1 -. w0, r1 - r0, c1 - c0, s1 -. s0, t1 - t0)))
+    alloc_statements
+
+let with_metrics f =
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was) f
+
+(* Metrics on, as [serve] runs: the sampler's draws, the int-key join,
+   GROUP BY and the moments kernel allocate nothing per row, so the
+   minor words an execute adds grow by less than 0.1 per extra sampler
+   input row between scale 0.1 and scale 1.  Boxing the draw alone
+   costs 8 words per row; with a boxed RNG state, an [Int64]-hashed join
+   table, per-row key strings and per-probe histogram updates these
+   statements cost 9-23. *)
+let test_alloc_per_row () =
+  with_metrics @@ fun () ->
+  let small = measure_executes ~scale:0.1 and large = measure_executes ~scale:1.0 in
+  List.iter
+    (fun (name, _, _) ->
+      let w_s, r_s, _, _, _ = List.assoc name small
+      and w_l, r_l, _, _, _ = List.assoc name large in
+      let per_row = (w_l -. w_s) /. float_of_int (r_l - r_s) in
+      check_bool
+        (Printf.sprintf "%s: %.0f -> %.0f minor words for %d -> %d sampler rows (%.3f/row) < 0.1"
+           name w_s w_l r_s r_l per_row)
+        true
+        (r_l > r_s && per_row < 0.1))
+    alloc_statements
+
+(* The kernel counts probe lengths per table and flushes them once per
+   pass: [inttbl.probe_len] still gets one probe per kernel tuple per
+   non-empty subset mask, with the pinned count and sum. *)
+let test_probe_len_per_pass () =
+  with_metrics @@ fun () ->
+  List.iter
+    (fun scale ->
+      List.iter
+        (fun (name, (_, _, count, sum, tuples)) ->
+          let _, live, _ = List.find (fun (n, _, _) -> n = name) alloc_statements in
+          let pin_count, pin_sum = List.assoc (scale, name) probe_pins in
+          let what s = Printf.sprintf "scale %g %s: %s" scale name s in
+          check_int (what "one probe per tuple per mask")
+            (tuples * ((1 lsl live) - 1)) count;
+          check_int (what "pinned count") pin_count count;
+          check (Alcotest.float 0.0) (what "pinned sum") (float_of_int pin_sum) sum)
+        (measure_executes ~scale))
+    [ 0.1; 1.0 ]
+
 let () =
   Alcotest.run "gus_sql"
     [ ( "lexer",
@@ -698,4 +795,8 @@ let () =
             test_run_wide_live_route;
           Alcotest.test_case "group by pinned bits" `Quick test_run_group_by_pinned;
           Alcotest.test_case "extra items keep the first item's bits" `Quick
-            test_run_extra_items_keep_bits ] ) ]
+            test_run_extra_items_keep_bits;
+          Alcotest.test_case "no per-row allocation, metrics on" `Quick
+            test_alloc_per_row;
+          Alcotest.test_case "probe lengths flushed per pass" `Quick
+            test_probe_len_per_pass ] ) ]

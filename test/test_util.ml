@@ -221,6 +221,89 @@ let test_rng_derive () =
   check_int "64 distinct child streams" 64
     (List.length (List.sort_uniq compare firsts))
 
+(* The SplitMix64 stream, pinned value by value.  Every sample, and so
+   every served estimate, is a function of this stream; these values
+   were recorded from the generator as it stood before its state was
+   unboxed, so a change to the state layout that moves one bit fails
+   here.  Per seed: the first 8 [bits64] of a fresh generator, then in
+   order [float], [int 10], [bernoulli 0.3], 16 more [bernoulli 0.3],
+   the first draw of a [split] child, the first draw of [derive 3] (which
+   does not advance the parent), [sample_without_replacement 5 20], and
+   the parent's next [bits64]. *)
+type rng_pin = {
+  seed : int;
+  bits : int64 list;
+  float_ : string;  (* [%h] *)
+  int10 : int;
+  bern : bool;
+  bern16 : string;
+  split : int64;
+  derive3 : int64;
+  wor : int list;
+  after : int64;
+}
+
+let rng_pins =
+  [ { seed = 0;
+      bits =
+        [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL;
+          0xf88bb8a8724c81ecL; 0x1b39896a51a8749bL; 0x53cb9f0c747ea2eaL;
+          0x2c829abe1f4532e1L; 0xc584133ac916ab3cL ];
+      float_ = "0x1.f72bc4820e4c4p-3";
+      int10 = 5;
+      bern = false;
+      bern16 = "0000000100000000";
+      split = 0xf6933da3885b9770L;
+      derive3 = 0xb0d7688aa7c9ec79L;
+      wor = [ 15; 1; 11; 4; 12 ];
+      after = 0x3c3c41a3b43343a1L };
+    { seed = 7;
+      bits =
+        [ 0x863b891f4c0abd4fL; 0x4d58fbd282eaf415L; 0xf0e521070cc03750L;
+          0xe21b503436e97f5bL; 0xa9e76cff841529f5L; 0x583825d25ace04f8L;
+          0x660295fd0c2fa166L; 0x9acd7389a1455c90L ];
+      float_ = "0x1.9f6fe141e86bcp-1";
+      int10 = 2;
+      bern = false;
+      bern16 = "1001000110000000";
+      split = 0xe004e956fcfe233dL;
+      derive3 = 0xbcf31fc09bfe308cL;
+      wor = [ 5; 1; 19; 15; 18 ];
+      after = 0x2a0cfcf91b570809L };
+    { seed = 42;
+      bits =
+        [ 0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L;
+          0x0c4b6b24ef01890eL; 0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L;
+          0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L ];
+      float_ = "0x1.8578493c50ec1p-1";
+      int10 = 3;
+      bern = false;
+      bern16 = "0011011100100001";
+      split = 0x281bcb1f0cd0aacfL;
+      derive3 = 0x33137d4e73f89989L;
+      wor = [ 15; 9; 5; 0; 13 ];
+      after = 0x627574470bcad1e1L } ]
+
+let test_rng_pinned_stream () =
+  let hex = Alcotest.testable (fun ppf v -> Format.fprintf ppf "0x%016Lx" v) Int64.equal in
+  List.iter
+    (fun p ->
+      let what s = Printf.sprintf "seed %d: %s" p.seed s in
+      let r = Rng.create p.seed in
+      check (Alcotest.list hex) (what "bits64") p.bits
+        (List.init 8 (fun _ -> Rng.bits64 r));
+      check Alcotest.string (what "float") p.float_ (Printf.sprintf "%h" (Rng.float r));
+      check_int (what "int 10") p.int10 (Rng.int r 10);
+      check_bool (what "bernoulli 0.3") p.bern (Rng.bernoulli r 0.3);
+      check Alcotest.string (what "16 x bernoulli 0.3") p.bern16
+        (String.init 16 (fun _ -> if Rng.bernoulli r 0.3 then '1' else '0'));
+      check hex (what "split") p.split (Rng.bits64 (Rng.split r));
+      check hex (what "derive 3") p.derive3 (Rng.bits64 (Rng.derive r 3));
+      check (Alcotest.list Alcotest.int) (what "wor 5 20") p.wor
+        (Array.to_list (Rng.sample_without_replacement r 5 20));
+      check hex (what "after") p.after (Rng.bits64 r))
+    rng_pins
+
 let test_rng_shuffle () =
   let rng = Rng.create 12 in
   let a = Array.init 50 Fun.id in
@@ -499,7 +582,8 @@ let () =
           Alcotest.test_case "wor uniform" `Slow test_rng_wor_uniform;
           Alcotest.test_case "split" `Quick test_rng_split;
           Alcotest.test_case "derive" `Quick test_rng_derive;
-          Alcotest.test_case "shuffle" `Quick test_rng_shuffle ] );
+          Alcotest.test_case "shuffle" `Quick test_rng_shuffle;
+          Alcotest.test_case "pinned stream" `Quick test_rng_pinned_stream ] );
       ( "hashing",
         [ Alcotest.test_case "prf deterministic" `Quick test_prf_deterministic;
           Alcotest.test_case "prf uniform" `Slow test_prf_range_and_uniformity;
