@@ -190,7 +190,6 @@ let micro_specs ~quota () =
     (Service.Engine.register_db engine ~name:"bench"
        ~source:(Service.Catalog.In_memory "tpch-0.01") db001);
   let serve_cat = Service.Engine.catalog engine in
-  let _ = Service.Engine.prepare engine ~name:"q" ~dataset:"bench" serve_sql in
   (* Telemetry-on twin of the engine above: a journal ring plus SLO
      thresholds attached, so every execution additionally computes
      sampling-rate provenance, the Theorem-1 top variance-share node and
@@ -204,8 +203,10 @@ let micro_specs ~quota () =
   ignore
     (Service.Engine.register_db journal_engine ~name:"bench"
        ~source:(Service.Catalog.In_memory "tpch-0.01") db001);
-  let _ =
-    Service.Engine.prepare journal_engine ~name:"q" ~dataset:"bench" serve_sql
+  let journal_handle =
+    Service.Prepared.prepare
+      (Service.Engine.catalog journal_engine)
+      ~dataset:"bench" serve_sql
   in
   let warm_handle = Service.Prepared.prepare serve_cat ~dataset:"bench" serve_sql in
   let ov = Service.Prepared.default_overrides in
@@ -430,7 +431,11 @@ let micro_specs ~quota () =
     { name = "service/cache-hit-q1";
       quota_floor = fit_quota_floor;
       warmup = fit_warmup;
-      body = (fun () -> ignore (Service.Engine.execute engine ~handle:"q" ov)) };
+      body =
+        (fun () ->
+          ignore
+            (Service.Engine.execute_prepared engine ~label:"q" warm_handle ov))
+    };
     (* The same cache-hit request through the full session layer — NDJSON
        parse, dispatch, handle resolution, response render.  Read against
        service/cache-hit-q1 for the wire + session tax; CI's 5% gate on
@@ -451,7 +456,9 @@ let micro_specs ~quota () =
       warmup = fit_warmup;
       body =
         (fun () ->
-          ignore (Service.Engine.execute journal_engine ~handle:"q" ov)) } ]
+          ignore
+            (Service.Engine.execute_prepared journal_engine ~label:"q"
+               journal_handle ov)) } ]
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in

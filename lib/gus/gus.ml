@@ -119,8 +119,9 @@ let union g1 g2 =
           (2.0 *. a) -. 1.0
           +. ((1.0 -. (2.0 *. g1.a) +. b1) *. (1.0 -. (2.0 *. g2.a) +. b2))
         in
-        (* Tiny negative values can appear from float cancellation. *)
-        Float.max 0.0 v)
+        (* Float cancellation and rounding can leave v a hair outside
+           [0, 1] (1 + 2^-52 at a rate near 1). *)
+        Float.max 0.0 (Float.min 1.0 v))
       g1.b
   in
   make ~rels:g1.rels ~a ~b

@@ -227,7 +227,13 @@ let pp_tree ppf plan =
   Gus_obs.Planfmt.pp ~label:node_label ~children ppf plan
 
 let relations plan =
-  Array.to_list (lineage_schema plan)
+  (* A walk over the scans, not [lineage_schema]: a self-join must list
+     its relation once, not raise [Lineage.Overlap]. *)
+  let rec go acc = function
+    | Scan name -> if List.mem name acc then acc else name :: acc
+    | q -> List.fold_left go acc (children q)
+  in
+  List.rev (go [] plan)
 
 let rec subtree plan = function
   | [] -> Some plan

@@ -107,7 +107,9 @@ val pp_tree : Format.formatter -> t -> unit
 (** Indented tree rendering, one operator per line (the Figure-4 shape). *)
 
 val relations : t -> string list
-(** Distinct base relations scanned, in first-use order. *)
+(** Distinct base relations scanned, in first-use order.  Never raises:
+    a self-join lists its relation once.  Equals
+    [Array.to_list (lineage_schema plan)] wherever that does not raise. *)
 
 val children : t -> t list
 (** Direct sub-plans, left to right (empty for [Scan]). *)

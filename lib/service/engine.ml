@@ -15,17 +15,13 @@ let m_breach_latency = Gus_obs.Metrics.counter "slo.breaches.latency"
 type t = {
   catalog : Catalog.t;
   cache : Runner.response Cache.t;
-  prepared : (string, Prepared.t) Hashtbl.t;
   pool : Gus_util.Pool.t option;
-  mutable next_handle : int;
   journal : Journal.t option;
   slo : Journal.slo;
   on_breach : (string -> unit) option;
   limiter : Journal.limiter;
   start_ns : int;
 }
-
-exception Unknown_handle of string
 
 let now = Gus_obs.Trace.now_ns
 
@@ -34,9 +30,7 @@ let create ?(cache_capacity = 128) ?pool ?journal ?(slo = Journal.no_slo)
   let t =
     { catalog = Catalog.create ();
       cache = Cache.create ~capacity:cache_capacity;
-      prepared = Hashtbl.create 16;
       pool;
-      next_handle = 1;
       journal;
       slo;
       on_breach;
@@ -79,25 +73,6 @@ let register_db t ~name ~source db =
   note_register t entry;
   entry
 
-let prepare t ?name ~dataset sql =
-  let p = Prepared.prepare t.catalog ~dataset sql in
-  let name =
-    match name with
-    | Some n -> n
-    | None ->
-        let n = Printf.sprintf "q%d" t.next_handle in
-        t.next_handle <- t.next_handle + 1;
-        n
-  in
-  Hashtbl.replace t.prepared name p;
-  (name, p)
-
-let find_prepared t name = Hashtbl.find_opt t.prepared name
-
-let prepared_names t =
-  Hashtbl.fold (fun name p acc -> (name, p) :: acc) t.prepared []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 let cache_key t p (ov : Prepared.overrides) =
   let entry = Catalog.find_exn t.catalog (Prepared.dataset p) in
   let rates =
@@ -121,10 +96,18 @@ let cacheable (ov : Prepared.overrides) = not ov.Prepared.explain
 let slo_active (slo : Journal.slo) =
   slo.Journal.max_rel_ci <> None || slo.Journal.max_latency_ms <> None
 
-let first_cell_stats (rs : Runner.response) =
-  match rs.Runner.rs_result.Runner.cells with
-  | c :: _ -> (c.Runner.value, c.Runner.stddev)
-  | [] -> (Float.nan, Float.nan) (* GROUP BY: no whole-query estimate *)
+let journal_stats (rs : Runner.response) =
+  let estimate, stddev =
+    match rs.Runner.rs_result.Runner.cells with
+    | c :: _ -> (c.Runner.value, c.Runner.stddev)
+    | [] -> (Float.nan, Float.nan) (* GROUP BY: no whole-query estimate *)
+  in
+  let variance =
+    match rs.Runner.rs_report with
+    | Some r -> r.Gus_estimator.Sbox.variance
+    | None -> stddev *. stddev
+  in
+  (estimate, stddev, variance)
 
 (* Per-execution telemetry: relative-CI histogram, SLO breach counters +
    rate-limited log, and the journal event.  Runs on the driving thread
@@ -135,7 +118,7 @@ let note_exec t ~handle ~(p : Prepared.t) ~(ov : Prepared.overrides)
   if t.journal <> None || slo_active t.slo || Gus_obs.Metrics.enabled ()
   then begin
     let rs = o.response in
-    let estimate, stddev = first_cell_stats rs in
+    let estimate, stddev, variance = journal_stats rs in
     let rel_ci = Journal.rel_ci_half_width ~estimate ~stddev in
     if Float.is_finite rel_ci then Gus_obs.Metrics.observe m_rel_ci rel_ci;
     let rel_breach =
@@ -175,29 +158,18 @@ let note_exec t ~handle ~(p : Prepared.t) ~(ov : Prepared.overrides)
     | None -> ()
     | Some j ->
         let entry = Catalog.find_exn t.catalog (Prepared.dataset p) in
-        let variance =
-          match rs.Runner.rs_report with
-          | Some r -> r.Gus_estimator.Sbox.variance
-          | None -> stddev *. stddev
-        in
         let top =
           Option.map
             (fun (path, label, share) -> { Journal.path; label; share })
             (Runner.top_variance_share rs)
         in
         let rates =
-          let db = entry.Catalog.db in
+          (* the plan that ran, rate overrides applied *)
           let card rel =
             Gus_relational.Relation.cardinality
-              (Gus_relational.Database.find db rel)
+              (Gus_relational.Database.find entry.Catalog.db rel)
           in
-          let plan = (Prepared.handle p).Runner.pr_plan in
-          let plan =
-            (* record the rates actually executed, not the prepared ones *)
-            if ov.Prepared.rates = [] then plan
-            else Prepared.override_rates ~card ov.Prepared.rates plan
-          in
-          Prepared.sampling_rates ~card plan
+          Prepared.sampling_rates ~card rs.Runner.rs_result.Runner.plan
         in
         let sql = Prepared.sql p in
         Journal.record j
@@ -221,93 +193,71 @@ let note_exec t ~handle ~(p : Prepared.t) ~(ov : Prepared.overrides)
                breach })
   end
 
-let execute_prepared t ~label p ov =
-  let t0 = now () in
-  ignore (Prepared.refresh t.catalog p);
-  let key = if cacheable ov then Some (cache_key t p ov) else None in
-  let o =
-    match Option.map (Cache.find t.cache) key with
-    | Some (Some response) ->
-        { response; cached = true; wall_ns = now () - t0 }
-    | _ ->
-        let response = Prepared.execute t.catalog p ov in
-        Option.iter (fun k -> Cache.add t.cache k response) key;
-        { response; cached = false; wall_ns = now () - t0 }
-  in
-  note_exec t ~handle:label ~p ~ov o;
-  o
+(* Phase 1 of [batch_prepared] for one item, on the driving thread:
+   refresh the handle and probe the cache.  Every handle mutation and
+   cache read happens here. *)
+type stage =
+  | Failed of exn
+  | Hit of Runner.response * int  (* probe ns *)
+  | Miss of string option * int  (* the key to fill when cacheable; probe ns *)
 
-let execute t ~handle ov =
-  match find_prepared t handle with
-  | Some p -> execute_prepared t ~label:handle p ov
-  | None -> raise (Unknown_handle handle)
+let stage t (_, p, ov) =
+  let t0 = now () in
+  try
+    ignore (Prepared.refresh t.catalog p);
+    let key = if cacheable ov then Some (cache_key t p ov) else None in
+    match Option.bind key (Cache.find t.cache) with
+    | Some response -> Hit (response, now () - t0)
+    | None -> Miss (key, now () - t0)
+  with e -> Failed e
 
 let batch_prepared t items =
-  (* Phase 1, driving thread: resolve, refresh, probe the cache — every
-     handle mutation and cache touch happens here, in submission order. *)
-  let staged =
-    Array.map
-      (fun (label, p, ov) ->
-        match p with
-        | None -> Error (Unknown_handle label)
-        | Some p -> (
-            try
-              ignore (Prepared.refresh t.catalog p);
-              match
-                if cacheable ov then
-                  let key = cache_key t p ov in
-                  match Cache.find t.cache key with
-                  | Some response -> `Hit response
-                  | None -> `Run (Some key)
-                else `Run None
-              with
-              | `Hit response -> Ok (`Hit (p, ov, response))
-              | `Run key -> Ok (`Run (p, ov, key))
-            with e -> Error e))
-      items
-  in
-  (* Phase 2: fan the misses out; lanes only read engine state. *)
+  let staged = Array.map (stage t) items in
+  (* Phase 2: run the misses, fanned across the pool; lanes only read
+     engine state.  One miss runs inline on the driving thread. *)
   let misses =
     Array.of_list
-      (List.filter_map
-         (function Ok (`Run job) -> Some job | _ -> None)
-         (Array.to_list staged))
+      (List.filteri
+         (fun i _ -> match staged.(i) with Miss _ -> true | _ -> false)
+         (Array.to_list items))
   in
   let results =
     Scheduler.map ?pool:t.pool
-      (fun (p, ov, key) ->
+      (fun (_, p, ov) ->
         let t0 = now () in
         let response = Prepared.execute t.catalog p ov in
-        (key, response, now () - t0))
+        (response, now () - t0))
       misses
   in
-  (* Phase 3, driving thread again: fill the cache, journal each item,
-     and assemble outcomes in submission order. *)
+  (* Phase 3, driving thread again: fill the cache and journal each item
+     in submission order. *)
   let cursor = ref 0 in
   Array.mapi
     (fun i stage ->
-      let handle = (fun (label, _, _) -> label) items.(i) in
+      let label, p, ov = items.(i) in
+      let finish o =
+        note_exec t ~handle:label ~p ~ov o;
+        Ok o
+      in
       match stage with
-      | Error e -> Error e
-      | Ok (`Hit (p, ov, response)) ->
-          let o = { response; cached = true; wall_ns = 0 } in
-          note_exec t ~handle ~p ~ov o;
-          Ok o
-      | Ok (`Run (p, ov, _)) -> (
+      | Failed e -> Error e
+      | Hit (response, probe_ns) ->
+          finish { response; cached = true; wall_ns = probe_ns }
+      | Miss (key, probe_ns) -> (
           let r = results.(!cursor) in
           incr cursor;
           match r with
           | Error e -> Error e
-          | Ok (key, response, wall_ns) ->
+          | Ok (response, run_ns) ->
               Option.iter (fun k -> Cache.add t.cache k response) key;
-              let o = { response; cached = false; wall_ns } in
-              note_exec t ~handle ~p ~ov o;
-              Ok o))
+              finish { response; cached = false; wall_ns = probe_ns + run_ns }))
     staged
 
-let batch t items =
-  batch_prepared t
-    (Array.map (fun (handle, ov) -> (handle, find_prepared t handle, ov)) items)
+let execute_prepared t ~label p ov =
+  match batch_prepared t [| (label, p, ov) |] with
+  | [| Ok o |] -> o
+  | [| Error e |] -> raise e
+  | _ -> assert false
 
 let cache_length t = Cache.length t.cache
 let cache_capacity t = Cache.capacity t.cache

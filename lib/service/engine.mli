@@ -1,10 +1,13 @@
-(** The serving engine: catalog + prepared handles + estimate cache +
-    batch scheduler behind one session object.
+(** The serving engine: catalog + estimate cache + batch scheduler +
+    telemetry, shared by every {!Session}.
 
     One engine instance is long-lived server state (the [gusdb serve]
-    loop owns exactly one).  All driving-thread state — the handle
-    table, the LRU {!Cache} — is touched only between fan-outs; batch
-    execution runs on pool lanes against immutable snapshots.
+    loop owns exactly one).  It keeps no handle namespace: callers pass
+    resolved {!Prepared.t} handles, and each {!Session} scopes its own
+    names to one connection.  Every execution, single or batched, runs
+    {!batch_prepared}'s three phases; driving-thread state — handle
+    refreshes, the LRU {!Cache}, the journal — is touched only in phases
+    1 and 3, while phase 2 runs plans against immutable snapshots.
 
     {b Cache key.}  [dataset NUL version NUL sql NUL canonical-params],
     where canonical-params is ["seed=<n>;exact=<b>;rates=<rel>:<rate>,…"]
@@ -18,8 +21,6 @@
 
 type t
 
-exception Unknown_handle of string
-
 val create :
   ?cache_capacity:int ->
   ?pool:Gus_util.Pool.t ->
@@ -29,13 +30,14 @@ val create :
   unit ->
   t
 (** [cache_capacity] defaults to 128 responses.  [pool] (shared, not
-    owned: the engine never shuts it down) parallelizes {!batch} only —
-    single executions and everything inside one query run sequentially,
-    so estimates never depend on lane count.
+    owned: the engine never shuts it down) spreads the cache misses of
+    one {!batch_prepared} call over its lanes — a lone miss and
+    everything inside one query run sequentially, so estimates never
+    depend on lane count.
 
-    [journal] turns on the flight recorder: one event per
-    register/execute/batch item, recorded on the driving thread (batch
-    items in the serial fill phase, in submission order).  [slo]
+    [journal] turns on the flight recorder: one event per register and
+    per executed item, recorded on the driving thread in phase 3, in
+    submission order.  [slo]
     (default {!Gus_obs.Journal.no_slo}) marks journal events
     [breach:true] and bumps the [slo.breaches*] counters when a
     response's relative CI half-width or wall-clock exceeds the
@@ -52,7 +54,8 @@ val uptime_ns : t -> int
 (** Nanoseconds since {!create} (monotonic clock). *)
 
 val pool_size : t -> int
-(** Lanes available to {!batch}: the pool's size, or 1 when unpooled. *)
+(** Lanes available to {!batch_prepared}: the pool's size, or 1 when
+    unpooled. *)
 
 val register : t -> name:string -> source:Catalog.source -> Catalog.entry
 (** Build the dataset from its source description and (re)bind it —
@@ -62,47 +65,43 @@ val register_db :
   t -> name:string -> source:Catalog.source -> Gus_relational.Database.t ->
   Catalog.entry
 
-val prepare : t -> ?name:string -> dataset:string -> string -> string * Prepared.t
-(** Prepare once and install the handle under [name] (default
-    ["q<n>"], n counting up).  Re-using a name replaces the handle. *)
-
-val find_prepared : t -> string -> Prepared.t option
-val prepared_names : t -> (string * Prepared.t) list
-(** Sorted by handle name. *)
-
 type outcome = {
   response : Gus_sql.Runner.response;
   cached : bool;  (** answered from the LRU without executing *)
-  wall_ns : int;  (** this call, including cache probes *)
+  wall_ns : int;
+      (** this item's own handle refresh and cache probe, plus its plan
+          run on a miss *)
 }
-
-val execute : t -> handle:string -> Prepared.overrides -> outcome
-(** Raises {!Unknown_handle}, {!Catalog.Unknown_dataset}, or the
-    execution-time errors of {!Prepared.execute}. *)
-
-val execute_prepared : t -> label:string -> Prepared.t -> Prepared.overrides -> outcome
-(** Like {!execute} but with the handle already resolved — the entry
-    point for callers that keep their own handle namespace (each
-    {!Session} scopes prepared handles to one connection).  [label] is
-    the display name journaled and logged for this execution. *)
-
-val batch : t -> (string * Prepared.overrides) array -> (outcome, exn) result array
-(** Resolve and cache-probe every item serially in submission order,
-    fan the misses across the pool via {!Scheduler.map}, then fill the
-    cache back in submission order.  Results line up with the input
-    array for any pool size; per-item failures are [Error], the batch
-    itself never raises. *)
 
 val batch_prepared :
   t ->
-  (string * Prepared.t option * Prepared.overrides) array ->
+  (string * Prepared.t * Prepared.overrides) array ->
   (outcome, exn) result array
-(** {!batch} with handles pre-resolved by the caller's own namespace;
-    [None] yields [Error (Unknown_handle label)] for that item. *)
+(** Execute [(label, handle, overrides)] items in three phases.
+    Phase 1, on the calling thread in submission order: refresh each
+    handle ({!Prepared.refresh}) and probe the cache.  Phase 2: run the
+    misses through {!Scheduler.map} — across the pool's lanes when there
+    are several, inline when there is one.  Phase 3, on the calling
+    thread in submission order: fill the cache and journal each item.
+    Results line up with the input array for any pool size; per-item
+    failures are [Error], the call itself never raises.  [label] is the
+    display name journaled and logged for the item. *)
+
+val execute_prepared :
+  t -> label:string -> Prepared.t -> Prepared.overrides -> outcome
+(** {!batch_prepared} of one item.  Raises that item's error:
+    {!Catalog.Unknown_dataset}, or the execution-time errors of
+    {!Prepared.execute}. *)
+
+val journal_stats : Gus_sql.Runner.response -> float * float * float
+(** [(estimate, stddev, variance)] of a response as the journal records
+    it and [gusdb replay] compares it: the first cell's estimate and
+    stddev ([nan] under GROUP BY), and the SBox report's variance, or
+    stddev² without one. *)
 
 val cache_key : t -> Prepared.t -> Prepared.overrides -> string
-(** The canonical key {!execute} uses (at the dataset's {e current}
-    version); exposed for invalidation tests. *)
+(** The canonical key {!batch_prepared} uses (at the dataset's {e
+    current} version); exposed for invalidation tests. *)
 
 val cache_length : t -> int
 val cache_capacity : t -> int

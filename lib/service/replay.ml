@@ -9,7 +9,6 @@
    and compare estimate, stddev and variance bit for bit. *)
 
 module Journal = Gus_obs.Journal
-module Runner = Gus_sql.Runner
 
 exception Corrupt of { line : int; message : string }
 
@@ -73,21 +72,6 @@ let rates_field ~line j =
         fields
   | _ -> corrupt line "missing object field \"rates\""
 
-(* What the Engine journaled for this response (same extraction as
-   Engine.note_exec, so journal and replay cannot diverge on shape). *)
-let response_stats (rs : Runner.response) =
-  let estimate, stddev =
-    match rs.Runner.rs_result.Runner.cells with
-    | c :: _ -> (c.Runner.value, c.Runner.stddev)
-    | [] -> (Float.nan, Float.nan)
-  in
-  let variance =
-    match rs.Runner.rs_report with
-    | Some r -> r.Gus_estimator.Sbox.variance
-    | None -> stddev *. stddev
-  in
-  (estimate, stddev, variance)
-
 let replay_exec engine handles ~line j acc =
   let dataset = str_field ~line j "dataset" in
   let sql = str_field ~line j "sql" in
@@ -97,16 +81,16 @@ let replay_exec engine handles ~line j acc =
       explain = bool_field ~line j "explain";
       exact = bool_field ~line j "exact" }
   in
-  let handle =
+  let p =
     match Hashtbl.find_opt handles (dataset, sql) with
-    | Some h -> h
+    | Some p -> p
     | None ->
-        let h, _ = Engine.prepare engine ~dataset sql in
-        Hashtbl.add handles (dataset, sql) h;
-        h
+        let p = Prepared.prepare (Engine.catalog engine) ~dataset sql in
+        Hashtbl.add handles (dataset, sql) p;
+        p
   in
-  let outcome = Engine.execute engine ~handle ov in
-  let estimate, stddev, variance = response_stats outcome.Engine.response in
+  let outcome = Engine.execute_prepared engine ~label:sql p ov in
+  let estimate, stddev, variance = Engine.journal_stats outcome.Engine.response in
   let mismatches =
     List.filter_map
       (fun (field, journaled, replayed) ->

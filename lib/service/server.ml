@@ -19,7 +19,9 @@
 
    Errors on one connection never touch another: a malformed frame is
    an error *response* (Session/Wire's job), a dead socket tears down
-   only its own two threads, and the session's handles die with it. *)
+   only its own two threads, and the session's handles die with it.  An
+   exception that escapes a request is reported on stderr and tears the
+   connection down the same way. *)
 
 type job =
   | Handle of {
@@ -138,6 +140,16 @@ let worker_loop t conn =
   (* Once a write fails the client is gone; keep draining so every
      admission ticket still in the queue is returned. *)
   let dead = ref false in
+  (* An exception that escapes the session or [after] is a bug, not a
+     client error: report it and drop the connection as if the client
+     had died.  The shutdown ends the reader, so the queue closes and
+     the drain below returns every ticket. *)
+  let drop e =
+    Printf.eprintf "gusdb serve: connection dropped: uncaught exception %s\n%!"
+      (Printexc.to_string e);
+    dead := true;
+    try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+  in
   let write_line response =
     if not !dead then (
       (try
@@ -148,7 +160,7 @@ let worker_loop t conn =
       if not !dead then
         (* [after] may touch shared state (--prom-out file dumps), so it
            runs under the driving lock like everything non-per-conn. *)
-        Mutex.protect t.driving_lock t.after)
+        try Mutex.protect t.driving_lock t.after with e -> drop e)
   in
   let rec loop () =
     match Bq.pop conn.queue with
@@ -160,8 +172,12 @@ let worker_loop t conn =
         let response =
           if !dead then None
           else
-            Mutex.protect t.driving_lock (fun () ->
-                Session.handle_decided conn.session ~decision line)
+            try
+              Mutex.protect t.driving_lock (fun () ->
+                  Session.handle_decided conn.session ~decision line)
+            with e ->
+              drop e;
+              None
         in
         (match (ticket, t.admission) with
         | Some tk, Some a -> Admission.leave a tk

@@ -1,9 +1,10 @@
 (* One protocol session: the transport-agnostic middle of the serving
    stack.  A session owns a connection-scoped prepared-handle namespace
    (two clients can both call their query "q1" without trampling each
-   other) on top of a shared Engine, and dispatches parsed NDJSON
-   requests to it.  Transports stay thin: the stdin/stdout loop ([run])
-   drives one session, Server's TCP loop drives one per connection.
+   other; the Engine underneath keeps none) on top of a shared Engine,
+   and dispatches parsed NDJSON requests to it.  Transports stay thin:
+   the stdin/stdout loop ([run]) drives one session, Server's TCP loop
+   drives one per connection.
 
    NOT thread-safe by itself: the engine underneath is driving-thread
    only, so concurrent transports must serialize handle calls (Server
@@ -167,8 +168,8 @@ let op_prepare t j =
 
 let exec_item_fields = [ "handle"; "seed"; "rates"; "explain"; "exact" ]
 
-let exec_item ?(extra = []) ~op j =
-  Wire.check_fields ~op (extra @ exec_item_fields) j;
+let exec_item ?(extra = []) j =
+  Wire.check_fields ~op:"execute" (extra @ exec_item_fields) j;
   let handle = Wire.req_str j "handle" in
   let rates =
     match member "rates" j with
@@ -239,15 +240,62 @@ let note_y t ~handle (o : Engine.outcome) =
           r.Gus_estimator.Sbox.y_hat )
   | None -> ()
 
+(* The one path from a session to the engine, for [execute] and [batch]
+   alike.  Per item, in order: parse it, resolve its handle in this
+   session's namespace and apply the shed decision (journaling it).
+   Then one Engine.batch_prepared call over the resolved items, and per
+   item, in order, note its moments and render it.  A failed item
+   renders as an in-band error object. *)
+let run_items ?extra t ~decision items =
+  let resolved =
+    List.map
+      (fun j ->
+        match exec_item ?extra j with
+        | exception e -> Error e
+        | handle, ov -> (
+            match find_prepared t handle with
+            | None -> Error (Wire.Unknown_handle handle)
+            | Some p ->
+                let ov, shed = shed_item t ~decision ~handle p ov in
+                Ok (handle, p, ov, shed)))
+      items
+  in
+  let outcomes =
+    Engine.batch_prepared t.engine
+      (Array.of_list
+         (List.filter_map
+            (function
+              | Ok (handle, p, ov, _) -> Some (handle, p, ov) | Error _ -> None)
+            resolved))
+  in
+  let cursor = ref 0 in
+  List.map
+    (fun item ->
+      let rendered =
+        match item with
+        | Error e -> Error e
+        | Ok (handle, _, _, shed) ->
+            let r = outcomes.(!cursor) in
+            incr cursor;
+            Result.map
+              (fun o ->
+                note_y t ~handle o;
+                Wire.response_json ?shed ~handle o)
+              r
+      in
+      match rendered with
+      | Ok json -> json
+      | Error e -> (
+          match Wire.error_of_exn e with
+          | Some (code, message) -> Wire.error_json ~op:"execute" code message
+          | None -> raise e))
+    resolved
+
+(* [execute] is the one-item batch, answered at the top level. *)
 let op_execute t ~decision j =
-  let handle, ov = exec_item ~extra:[ "op" ] ~op:"execute" j in
-  match find_prepared t handle with
-  | None -> raise (Engine.Unknown_handle handle)
-  | Some p ->
-      let ov, shed = shed_item t ~decision ~handle p ov in
-      let o = Engine.execute_prepared t.engine ~label:handle p ov in
-      note_y t ~handle o;
-      Wire.response_json ?shed ~handle o
+  match run_items ~extra:[ "op" ] t ~decision [ j ] with
+  | [ response ] -> response
+  | _ -> assert false
 
 let op_batch t ~decision j =
   Wire.check_fields ~op:"batch" [ "op"; "items" ] j;
@@ -256,55 +304,10 @@ let op_batch t ~decision j =
     | Some items -> items
     | None -> raise (Wire.Bad_request "missing list field \"items\"")
   in
-  let parsed =
-    List.map
-      (fun item ->
-        try Ok (exec_item ~op:"execute" item)
-        with e -> (
-          match Wire.error_of_exn e with
-          | Some (code, message) ->
-              Error (Wire.error_json ~op:"execute" code message)
-          | None -> raise e))
-      items
-  in
-  let jobs =
-    Array.of_list
-      (List.filter_map
-         (function
-           | Ok (handle, ov) -> (
-               match find_prepared t handle with
-               | None -> Some (handle, None, ov, None)
-               | Some p ->
-                   let ov, shed = shed_item t ~decision ~handle p ov in
-                   Some (handle, Some p, ov, shed))
-           | Error _ -> None)
-         parsed)
-  in
-  let outcomes =
-    Engine.batch_prepared t.engine
-      (Array.map (fun (handle, p, ov, _) -> (handle, p, ov)) jobs)
-  in
-  let cursor = ref 0 in
-  let results =
-    List.map
-      (function
-        | Error ej -> ej
-        | Ok _ -> (
-            let handle, _, _, shed = jobs.(!cursor) in
-            let r = outcomes.(!cursor) in
-            incr cursor;
-            match r with
-            | Ok outcome ->
-                note_y t ~handle outcome;
-                Wire.response_json ?shed ~handle outcome
-            | Error e -> (
-                match Wire.error_of_exn e with
-                | Some (code, message) ->
-                    Wire.error_json ~op:"execute" code message
-                | None -> raise e)))
-      parsed
-  in
-  Obj [ ("ok", Bool true); ("op", Str "batch"); ("results", List results) ]
+  Obj
+    [ ("ok", Bool true);
+      ("op", Str "batch");
+      ("results", List (run_items t ~decision items)) ]
 
 let op_stats_json t =
   let catalog =

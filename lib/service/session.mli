@@ -3,9 +3,11 @@
 
     A session scopes prepared handles to one client connection — two
     clients can both name a query ["q1"] — on top of a shared
-    {!Engine}, and dispatches the NDJSON operations ({!Wire} renders
-    them).  Transports are thin: {!run} drives one session over
-    stdin/stdout, {!Server} one per TCP connection.
+    {!Engine}, which keeps no names of its own, and dispatches the
+    NDJSON operations ({!Wire} renders them).  [execute] and [batch]
+    run one item pipeline: an [execute] is answered as a one-item
+    batch's item, at the top level.  Transports are thin: {!run} drives
+    one session over stdin/stdout, {!Server} one per TCP connection.
 
     {b Threading.}  The engine is driving-thread-only, so concurrent
     transports must serialize every {!handle}/{!handle_request} call

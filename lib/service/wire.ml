@@ -24,6 +24,8 @@ exception Overloaded of string
 
 exception Session_closed
 
+exception Unknown_handle of string
+
 (* ---- the stable error-code registry (DESIGN.md section 13) ---- *)
 
 type emitter = Protocol_error | Cli_error
@@ -75,7 +77,7 @@ let error_of_exn = function
         ( "snapshot_version",
           Printf.sprintf "snapshot format version %d (this build reads %d)"
             found expected )
-  | Engine.Unknown_handle h -> Some ("unknown_handle", "unknown handle " ^ h)
+  | Unknown_handle h -> Some ("unknown_handle", "unknown handle " ^ h)
   | Overloaded msg -> Some ("overloaded", msg)
   | Session_closed -> Some ("session_closed", "session is closed")
   | Bad_request msg -> Some ("bad_request", msg)

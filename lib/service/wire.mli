@@ -21,6 +21,10 @@ exception Overloaded of string
 exception Session_closed
 (** Request submitted to a {!Session.t} after [close]. *)
 
+exception Unknown_handle of string
+(** An [execute] or [batch] item named a handle its session never
+    prepared. *)
+
 (** {2 Error codes} *)
 
 type emitter =

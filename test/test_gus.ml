@@ -135,6 +135,20 @@ let test_union_schema_mismatch () =
        false
      with Gus.Incompatible _ -> true)
 
+(* Rounding can leave a union's b entry at 1 + 2^-52 for a rate near 1;
+   union clamps it into [0, 1] instead of failing Gus.make. *)
+let test_union_rate_near_one () =
+  let b = Gus.bernoulli ~rel:"r" in
+  let u =
+    Gus.union
+      (Gus.union (b 0x1.824a48a63aedp-4) (b 0x1.fffffffffffffp-1))
+      (b 0x1.8f71966001c64p-3)
+  in
+  check_bool "associates" true
+    (Gus.equal_approx ~eps:1e-9 u
+       (Gus.union (b 0x1.824a48a63aedp-4)
+          (Gus.union (b 0x1.fffffffffffffp-1) (b 0x1.8f71966001c64p-3))))
+
 (* ---- compaction (Prop 8) ---- *)
 
 let test_compact_bernoullis () =
@@ -384,6 +398,7 @@ let () =
         [ Alcotest.test_case "union of Bernoullis" `Quick test_union_two_bernoullis;
           Alcotest.test_case "union null element" `Quick test_union_with_null_is_identity_element;
           Alcotest.test_case "union schema mismatch" `Quick test_union_schema_mismatch;
+          Alcotest.test_case "union at a rate near 1" `Quick test_union_rate_near_one;
           Alcotest.test_case "compact Bernoullis" `Quick test_compact_bernoullis;
           Alcotest.test_case "compact identity/null" `Quick test_compact_identity_null ] );
       ( "reshaping",

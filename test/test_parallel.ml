@@ -349,7 +349,11 @@ let prop_read_set_keeps_rows =
       && same_outcome
            (fun (a, pa) (b, pb) -> same a b && same_profiles pa pb)
            (outcome profiled) (outcome (profiled ~read))
-      && same_outcome same (outcome exact) (outcome (exact ~read)))
+      && same_outcome same (outcome exact) (outcome (exact ~read))
+      (* the scan walk names the lineage schema's relations, in order *)
+      && match Splan.lineage_schema plan with
+         | schema -> Splan.relations plan = Array.to_list schema
+         | exception _ -> true)
 
 (* The scans of a statement carry only its read set: the SELECT value's
    columns and the join keys. *)

@@ -68,6 +68,14 @@ let fresh_engine ?pool () =
     (Engine.register_db e ~name:dataset ~source:(Catalog.In_memory "test") db);
   e
 
+(* The engine keeps no handle namespace (sessions do): tests hold their
+   prepared handles themselves. *)
+let prepare e sql = Prepared.prepare (Engine.catalog e) ~dataset sql
+let execute e p ov = Engine.execute_prepared e ~label:"q" p ov
+
+let batch e items =
+  Engine.batch_prepared e (Array.map (fun (p, ov) -> ("q", p, ov)) items)
+
 let sql_single = "SELECT SUM(l_extendedprice) AS s FROM lineitem TABLESAMPLE (20 PERCENT)"
 
 let sql_join =
@@ -135,14 +143,14 @@ let test_execute_never_relints () =
     (fun () ->
       let e = fresh_engine () in
       let before = Metrics.counter_value lint_runs in
-      let handle, _ = Engine.prepare e ~dataset sql_join in
+      let p = prepare e sql_join in
       let after_prepare = Metrics.counter_value lint_runs in
       check_int "prepare lints exactly once" 1 (after_prepare - before);
       for seed = 1 to 3 do
         ignore
-          (Engine.execute e ~handle { Prepared.default_overrides with seed })
+          (execute e p { Prepared.default_overrides with seed })
       done;
-      ignore (Engine.execute e ~handle Prepared.default_overrides);
+      ignore (execute e p Prepared.default_overrides);
       check_int "executes never re-lint" after_prepare
         (Metrics.counter_value lint_runs))
 
@@ -277,7 +285,7 @@ let test_catalog_versions () =
 
 let test_override_rates () =
   let e = fresh_engine () in
-  let _, p = Engine.prepare e ~dataset sql_join in
+  let p = prepare e sql_join in
   let plan = (Prepared.handle p).Runner.pr_plan in
   let card rel =
     Gus_relational.Relation.cardinality (Gus_relational.Database.find db rel)
@@ -302,11 +310,11 @@ let test_override_rates () =
 
 let test_reprepare_on_version_bump () =
   let e = fresh_engine () in
-  let _, p = Engine.prepare e ~dataset sql_single in
+  let p = prepare e sql_single in
   check_int "prepared at v1" 1 (Prepared.version p);
   ignore
     (Engine.register_db e ~name:dataset ~source:(Catalog.In_memory "again") db);
-  let o = Engine.execute e ~handle:"q1" Prepared.default_overrides in
+  let o = execute e p Prepared.default_overrides in
   check_bool "not cached" false o.Engine.cached;
   check_int "re-prepared at v2" 2 (Prepared.version p)
 
@@ -314,36 +322,36 @@ let test_reprepare_on_version_bump () =
 
 let test_cache_hit_bit_identical () =
   let e = fresh_engine () in
-  let handle, _ = Engine.prepare e ~dataset sql_join in
+  let p = prepare e sql_join in
   let ov = { Prepared.default_overrides with seed = 9 } in
-  let o1 = Engine.execute e ~handle ov in
-  let o2 = Engine.execute e ~handle ov in
+  let o1 = execute e p ov in
+  let o2 = execute e p ov in
   check_bool "first cold" false o1.Engine.cached;
   check_bool "second hit" true o2.Engine.cached;
   check_string "bit-identical" (sig_of o1.Engine.response)
     (sig_of o2.Engine.response);
   (* different params are different keys *)
-  let o3 = Engine.execute e ~handle { ov with seed = 10 } in
+  let o3 = execute e p { ov with seed = 10 } in
   check_bool "new seed cold" false o3.Engine.cached;
   check_int "two entries" 2 (Engine.cache_length e)
 
 let test_invalidation_on_mutation () =
   let e = fresh_engine () in
-  let handle, _ = Engine.prepare e ~dataset sql_single in
-  ignore (Engine.execute e ~handle Prepared.default_overrides);
+  let p = prepare e sql_single in
+  ignore (execute e p Prepared.default_overrides);
   check_int "cached" 1 (Engine.cache_length e);
   ignore
     (Engine.register_db e ~name:dataset ~source:(Catalog.In_memory "v2") db);
   check_int "invalidated" 0 (Engine.cache_length e);
-  let o = Engine.execute e ~handle Prepared.default_overrides in
+  let o = execute e p Prepared.default_overrides in
   check_bool "recomputed" false o.Engine.cached
 
 let test_matches_one_shot_runner () =
   let e = fresh_engine () in
-  let handle, _ = Engine.prepare e ~dataset sql_join in
+  let p = prepare e sql_join in
   let seed = 42 in
   let served =
-    (Engine.execute e ~handle { Prepared.default_overrides with seed })
+    (execute e p { Prepared.default_overrides with seed })
       .Engine.response
   in
   let one_shot = run_sql ~seed db sql_join in
@@ -369,9 +377,9 @@ let test_counters_see_every_execution () =
   let db = Gus_tpch.Tpch.generate ~seed:20130630 ~scale:0.05 () in
   let e = Engine.create ~cache_capacity:8 () in
   ignore (Engine.register_db e ~name:dataset ~source:(Catalog.In_memory "cram") db);
-  let sum_handle, _ = Engine.prepare e ~dataset sql_single in
-  let avg_handle, _ =
-    Engine.prepare e ~dataset
+  let sum = prepare e sql_single in
+  let avg =
+    prepare e
       "SELECT AVG(l_extendedprice) AS a FROM lineitem TABLESAMPLE (20 PERCENT)"
   in
   Metrics.reset ();
@@ -383,14 +391,14 @@ let test_counters_see_every_execution () =
   let counter name = Metrics.counter_value (Metrics.counter name) in
   let passes () = Metrics.histogram_count (Metrics.histogram "moments.pass_us") in
   let seed7 = { Prepared.default_overrides with seed = 7 } in
-  let o = Engine.execute e ~handle:sum_handle seed7 in
+  let o = execute e sum seed7 in
   check_int "sample" 593 o.Engine.response.Runner.rs_result.Runner.n_sample_tuples;
   check_int "sampler.rows_in" 2983 (counter "sampler.rows_in");
   check_int "sampler.rows_out" 593 (counter "sampler.rows_out");
   check_int "sampler.bernoulli.draws" 2983 (counter "sampler.bernoulli.draws");
   check_int "moments.pass_us count" 1 (passes ());
   check_int "moments.acc.tuples" 593 (counter "moments.acc.tuples");
-  ignore (Engine.execute e ~handle:avg_handle seed7);
+  ignore (execute e avg seed7);
   check_int "AVG kernel tuples" (2 * 593) (counter "moments.acc.tuples");
   check_int "AVG moment passes" 2 (passes ())
 
@@ -419,14 +427,13 @@ let test_batch_first_execution () =
      a new engine, so every batch races for a first force. *)
   for round = 1 to 150 do
     let e = fresh_engine ~pool:(pool_of 4) () in
-    let handle, _ = Engine.prepare e ~dataset sql_join in
+    let p = prepare e sql_join in
     let ov = { Prepared.default_overrides with seed = round } in
     Array.iter
       (function
         | Ok _ -> ()
         | Error ex -> Alcotest.failf "round %d: %s" round (Printexc.to_string ex))
-      (Engine.batch e
-         [| (handle, ov); (handle, { ov with seed = round + 1 }); (handle, ov) |])
+      (batch e [| (p, ov); (p, { ov with seed = round + 1 }); (p, ov) |])
   done
 
 let test_cached_uncached_property () =
@@ -445,16 +452,16 @@ let test_cached_uncached_property () =
          (* uncached: a fresh engine computes from scratch *)
          let cold () =
            let e = fresh_engine () in
-           let handle, _ = Engine.prepare e ~dataset sql_join in
-           (Engine.execute e ~handle ov).Engine.response
+           let p = prepare e sql_join in
+           (execute e p ov).Engine.response
          in
          let reference = sig_of (cold ()) in
          (* cached: same engine twice; second answer must be a hit and
             bit-identical *)
          let e = fresh_engine () in
-         let handle, _ = Engine.prepare e ~dataset sql_join in
-         let o1 = Engine.execute e ~handle ov in
-         let o2 = Engine.execute e ~handle ov in
+         let p = prepare e sql_join in
+         let o1 = execute e p ov in
+         let o2 = execute e p ov in
          let ok_cache =
            (not o1.Engine.cached) && o2.Engine.cached
            && sig_of o1.Engine.response = reference
@@ -464,10 +471,10 @@ let test_cached_uncached_property () =
             ordered signatures *)
          let batch_sigs size =
            let e = fresh_engine ~pool:(pool_of size) () in
-           let handle, _ = Engine.prepare e ~dataset sql_join in
-           Engine.batch e
+           let p = prepare e sql_join in
+           batch e
              (Array.map
-                (fun s -> (handle, { ov with Prepared.seed = s }))
+                (fun s -> (p, { ov with Prepared.seed = s }))
                 [| seed; seed + 1; seed |])
            |> Array.map (function
                 | Ok o -> sig_of o.Engine.response
@@ -481,7 +488,7 @@ let test_cached_uncached_property () =
 
 let test_sampling_rates () =
   let e = fresh_engine () in
-  let _, p = Engine.prepare e ~dataset sql_join in
+  let p = prepare e sql_join in
   let card rel =
     Gus_relational.Relation.cardinality (Gus_relational.Database.find db rel)
   in
@@ -510,9 +517,9 @@ let test_slo_breach_marking () =
   in
   ignore
     (Engine.register_db e ~name:dataset ~source:(Catalog.In_memory "test") db);
-  let handle, _ = Engine.prepare e ~dataset sql_single in
-  ignore (Engine.execute e ~handle Prepared.default_overrides);
-  ignore (Engine.execute e ~handle Prepared.default_overrides);
+  let p = prepare e sql_single in
+  ignore (execute e p Prepared.default_overrides);
+  ignore (execute e p Prepared.default_overrides);
   let execs =
     List.filter_map
       (function Journal.Exec x -> Some x | _ -> None)
@@ -556,17 +563,17 @@ let test_replay_bit_identical () =
          ignore
            (Engine.register_db e ~name:dataset
               ~source:(Catalog.In_memory "test") db);
-         let handle, _ = Engine.prepare e ~dataset sql_join in
+         let p = prepare e sql_join in
          (* three plain executions (the third a cache hit) plus one down
             the profiled explain path *)
          List.iter
            (fun s ->
              ignore
-               (Engine.execute e ~handle
+               (execute e p
                   { Prepared.default_overrides with seed = s; rates }))
            [ seed; seed + 1; seed ];
          ignore
-           (Engine.execute e ~handle
+           (execute e p
               { Prepared.default_overrides with seed; rates; explain = true });
          let ndjson =
            String.concat "\n"
@@ -607,8 +614,8 @@ let test_replay_detects_drift () =
   ignore
     (Engine.register_db journal_engine ~name:dataset
        ~source:(Catalog.In_memory "test") db);
-  let handle, _ = Engine.prepare journal_engine ~dataset sql_single in
-  ignore (Engine.execute journal_engine ~handle Prepared.default_overrides);
+  let p = prepare journal_engine sql_single in
+  ignore (execute journal_engine p Prepared.default_overrides);
   let tampered =
     List.map
       (fun l ->
@@ -1009,6 +1016,120 @@ let test_shed_unsampled_join () =
   pinned "second" (exec 32)
     (0x1.0ffbf0c6e9ed4p-4, 0x1.20eb53640e8fbp+24, 0x1.a70c5060bdcap+20)
 
+(* ---- execute is the one-item batch ---- *)
+
+(* Drop the fields only the cache and the clock decide: [cached] (a key
+   repeated within one batch misses twice, where repeated executes
+   hit), [wall_us] and [wall_ns], explain's [total_ns], and the
+   journal's event [id], which numbers shed and exec events in the order
+   they interleave. *)
+let rec unclocked = function
+  | Json.Obj fields ->
+      Json.Obj
+        (List.filter_map
+           (fun (k, v) ->
+             if List.mem k [ "cached"; "wall_us"; "wall_ns"; "total_ns"; "id" ]
+             then None
+             else Some (k, unclocked v))
+           fields)
+  | Json.List l -> Json.List (List.map unclocked l)
+  | v -> v
+
+(* One execute item: a handle (index 3 names one that no prepare
+   installed), a seed from a short range (so keys repeat), a rate case,
+   explain and exact. *)
+let exec_item_json ~op (h, seed, rates, explain, exact) =
+  let handle = [| "s"; "q"; "j"; "nope" |].(h) in
+  let rates =
+    match rates with
+    | 0 -> []
+    | 1 -> [ ("lineitem", 0.25) ]
+    | 2 -> [ ("lineitem", 0.15); ("orders", 0.4) ] (* bad for s and q *)
+    | _ -> [ ("lineitem", 1.5) ] (* out of range *)
+  in
+  Json.to_string
+    (Json.Obj
+       ((if op then [ ("op", Json.Str "execute") ] else [])
+       @ [ ("handle", Json.Str handle);
+           ("seed", Json.Num (float_of_int seed));
+           ("rates", Json.Obj (List.map (fun (r, v) -> (r, Json.Num v)) rates));
+           ("explain", Json.Bool explain);
+           ("exact", Json.Bool exact) ]))
+
+(* A fresh engine with a journal, and a session with its three handles
+   prepared: [s] and [q] sample one relation, [j] two. *)
+let journaled_session ~shed =
+  let journal = Journal.create ~capacity:256 () in
+  let e = Engine.create ~cache_capacity:8 ~journal () in
+  ignore
+    (Engine.register_db e ~name:dataset ~source:(Catalog.In_memory "test") db);
+  let admission =
+    if shed then Some (Admission.create ~fixed_overload:3.0 ()) else None
+  in
+  let s = Session.create ?admission e in
+  List.iter
+    (fun (name, sql) ->
+      check_bool "prepare ok" true (ok_of (session_req s (prepare_line ~name sql))))
+    [ ("s", sql_single); ("q", sql_q02); ("j", sql_join) ];
+  (s, journal)
+
+let journal_events journal kind =
+  List.filter_map
+    (fun ev ->
+      let j = Json.of_string (Journal.to_ndjson ev) in
+      if Json.member "ev" j = Some (Json.Str kind) then
+        Some (Json.to_string (unclocked j))
+      else None)
+    (Journal.events journal)
+
+let test_execute_batch_agree () =
+  let item =
+    QCheck.Gen.(
+      tup5 (int_bound 3) (int_range 1 3)
+        (frequency [ (4, return 0); (2, return 1); (1, return 2); (1, return 3) ])
+        (frequency [ (3, return false); (1, return true) ])
+        (frequency [ (3, return false); (1, return true) ]))
+  in
+  let print (shed, items) =
+    Printf.sprintf "shed=%b %s" shed
+      (String.concat " " (List.map (exec_item_json ~op:false) items))
+  in
+  QCheck.Test.check_exn
+  @@ QCheck.Test.make ~name:"execute = one-item batch" ~count:25
+       (QCheck.make ~print QCheck.Gen.(pair bool (list_size (int_range 1 8) item)))
+       (fun (shed, items) ->
+         (* A batch sheds every item from the moments known before it;
+            executes shed each from the previous execute's.  Those agree
+            for one sampled relation, whose shed rate is the budget
+            alone, so under Shed the two-relation handle pins rates. *)
+         let items =
+           List.map
+             (fun ((h, seed, rates, explain, exact) as it) ->
+               if shed && h = 2 && rates = 0 then (h, seed, 1, explain, exact)
+               else it)
+             items
+         in
+         let s1, j1 = journaled_session ~shed in
+         let executes =
+           List.map
+             (fun it -> unclocked (session_req s1 (exec_item_json ~op:true it)))
+             items
+         in
+         let s2, j2 = journaled_session ~shed in
+         let batch =
+           session_req s2
+             (Printf.sprintf {|{"op":"batch","items":[%s]}|}
+                (String.concat "," (List.map (exec_item_json ~op:false) items)))
+         in
+         let results =
+           match Option.bind (Json.member "results" batch) Json.to_list with
+           | Some rs -> List.map unclocked rs
+           | None -> Alcotest.fail "batch has no results"
+         in
+         List.map Json.to_string executes = List.map Json.to_string results
+         && journal_events j1 "exec" = journal_events j2 "exec"
+         && journal_events j1 "shed" = journal_events j2 "shed")
+
 (* ---- TCP transport ---- *)
 
 let tcp_connect port =
@@ -1086,6 +1207,65 @@ let test_tcp_concurrent_clients () =
   List.iter Thread.join threads;
   check_int "no client failures" 0 (Atomic.get failures)
 
+(* An exception that escapes a request — here from [after], where
+   --prom-out's file dump runs — must not kill the worker: the
+   connection that hit it reads EOF, every admission ticket comes back,
+   and a sibling connection keeps answering with the same bits. *)
+let test_tcp_escaped_exception () =
+  let e = fresh_engine () in
+  let adm = Admission.create ~max_inflight:4 ~session_inflight:2 () in
+  let armed = Atomic.make false and afters = Atomic.make 0 in
+  let after () =
+    let fire = Atomic.exchange armed false in
+    Atomic.incr afters;
+    if fire then raise (Sys_error "after: armed to fail")
+  in
+  let rec poll n ready =
+    ready ()
+    || n > 0
+       && (Thread.delay 0.01;
+           poll (n - 1) ready)
+  in
+  let server = Server.start ~port:0 ~admission:adm ~after e in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let connect () =
+    let ((fd, _, _) as c) = tcp_connect (Server.port server) in
+    (* a hung connection fails the test instead of hanging it *)
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+    c
+  in
+  let a = connect () and b = connect () in
+  let close (fd, _, _) = try Unix.close fd with Unix.Unix_error _ -> () in
+  Fun.protect ~finally:(fun () -> close a; close b) @@ fun () ->
+  check_bool "b prepares" true (ok_of (tcp_req b (prepare_line sql_single)));
+  let exec = {|{"op":"execute","handle":"q","seed":9}|} in
+  let before = tcp_req b exec in
+  (* b's worker runs [after] once its answer is out: arm only when both
+     of b's have run, so that a's answer is the one that fails *)
+  check_bool "b's afters ran" true (poll 500 (fun () -> Atomic.get afters = 2));
+  Atomic.set armed true;
+  check_bool "a's answer arrives before the drop" true
+    (ok_of (tcp_req a {|{"op":"hello"}|}));
+  let _, ic_a, oc_a = a in
+  check_bool "a reads EOF" true
+    (match input_line ic_a with
+    | exception End_of_file -> true
+    | exception _ (* the receive timeout: a hung connection *) -> false
+    | _ -> false);
+  (* a request sent after the drop takes no ticket for good *)
+  (try
+     output_string oc_a "{\"op\":\"hello\"}\n";
+     flush oc_a
+   with Sys_error _ | Unix.Unix_error _ -> ());
+  check_bool "every ticket returned" true
+    (poll 500 (fun () -> Admission.inflight adm = 0));
+  let again = tcp_req b exec in
+  check_bool "b answered from cache" true
+    (Option.bind (Json.member "cached" again) Json.to_bool = Some true);
+  check_string "b bit-identical across a's drop"
+    (Json.to_string (Option.get (Json.member "result" before)))
+    (Json.to_string (Option.get (Json.member "result" again)))
+
 let () =
   Alcotest.run "service"
     [ ( "json",
@@ -1129,7 +1309,9 @@ let () =
         [ Alcotest.test_case "per-session handle namespace" `Quick
             test_session_namespace;
           Alcotest.test_case "error-code registry coverage" `Quick
-            test_error_registry ] );
+            test_error_registry;
+          Alcotest.test_case "execute = one-item batch" `Quick
+            test_execute_batch_agree ] );
       ( "admission",
         [ Alcotest.test_case "in-flight accounting" `Quick
             test_admission_accounting;
@@ -1143,7 +1325,9 @@ let () =
         [ Alcotest.test_case "sibling-session isolation" `Quick
             test_tcp_sibling_isolation;
           Alcotest.test_case "concurrent clients" `Quick
-            test_tcp_concurrent_clients ] );
+            test_tcp_concurrent_clients;
+          Alcotest.test_case "escaped exception drops one connection" `Quick
+            test_tcp_escaped_exception ] );
       ( "telemetry",
         [ Alcotest.test_case "sampling-rate provenance" `Quick
             test_sampling_rates;
